@@ -41,7 +41,6 @@ from .opcore import (
     star,
 )
 from .maps import (
-    AdaptedBasis,
     DeformMap,
     a_delta_expr,
     adapted_basis,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import DslError, MathError
@@ -22,6 +23,7 @@ from . import dsl
 from .verify import SUITES, run_suite
 
 _MAP_KINDS = ("identity", "phi_q", "phi_delta", "phi_q_prime", "phi_q_delta", "phi_delta_q")
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
 
 
 def _add_common(sub, *, delta_default=None):
@@ -47,32 +49,33 @@ def _add_common(sub, *, delta_default=None):
     )
 
 
-def _context(args, floor=0) -> "QContext | None":
-    if args.q is None:
-        return None
-    return QContext(rational(args.q), max_index=max(64, args.degree * 2, floor))
+def _context(args) -> "QContext | None":
+    return None if args.q is None else QContext(rational(args.q))
 
 
 def _parse_expr(args, text):
-    ctx = _context(args)
-    return dsl.parse(text, ctx=ctx, delta=args.delta)
+    return dsl.parse(text, ctx=_context(args), delta=args.delta)
 
 
 def _parse_poly(args, text) -> Poly:
     body = text.strip()
     if not body.startswith("poly("):
         body = "poly(%s)" % body
-    p = dsl.parse(body, ctx=_context(args), delta=args.delta)
-    return p
+    return dsl.parse(body, ctx=_context(args), delta=args.delta)
+
+
+def _emit(fmt: str, data, text, csv=None):
+    """Print data() as one line of json, or else the csv lines (falling back
+    to the text lines when a command has no csv form)."""
+    if fmt == "json":
+        print(json.dumps(data(), sort_keys=True))
+        return
+    for line in text if fmt == "text" or csv is None else csv:
+        print(line)
 
 
 def _emit_poly(p: Poly, fmt: str):
-    if fmt == "json":
-        print(json.dumps(p.to_json(), sort_keys=True))
-    elif fmt == "csv":
-        print(",".join(str(c) for c in p.coeffs) if not p.is_zero else "0")
-    else:
-        print(p.to_text())
+    _emit(fmt, p.to_json, [p.to_text()], [",".join(str(c) for c in p.coeffs) or "0"])
 
 
 def cmd_apply(args) -> int:
@@ -81,8 +84,7 @@ def cmd_apply(args) -> int:
         print("error: first argument must be an operator expression", file=sys.stderr)
         return 2
     p = _parse_poly(args, args.poly)
-    result = apply(e, p, args.degree)
-    _emit_poly(result, args.format)
+    _emit_poly(apply(e, p, args.degree), args.format)
     return 0
 
 
@@ -92,15 +94,13 @@ def cmd_realize(args) -> int:
         print("error: argument must be an operator expression", file=sys.stderr)
         return 2
     lin = realize(e, args.degree)
-    if args.format == "json":
-        print(json.dumps(lin.to_json(), sort_keys=True))
-    elif args.format == "csv":
-        for n, col in enumerate(lin.columns):
-            body = "overflow" if col is None else " ".join(str(c) for c in col.coeffs)
-            print("%d,%s" % (n, body))
-    else:
-        for n, col in enumerate(lin.columns):
-            print("x^%d -> %s" % (n, "overflow" if col is None else col.to_text()))
+    cols = list(enumerate(lin.columns))
+    _emit(
+        args.format,
+        lin.to_json,
+        ("x^%d -> %s" % (n, "overflow" if c is None else c.to_text()) for n, c in cols),
+        ("%d,%s" % (n, "overflow" if c is None else " ".join(map(str, c.coeffs))) for n, c in cols),
+    )
     return 0
 
 
@@ -115,16 +115,14 @@ def cmd_verify(args) -> int:
         {"check": c.name, "ok": c.ok, "q": str(ctx.q), "delta": str(delta), "D": args.degree}
         for c in checks
     ]
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        for r in rows:
-            print(
-                "%s %s (q=%s, delta=%s, D=%d)"
-                % ("PASS" if r["ok"] else "FAIL", r["check"], r["q"], r["delta"], r["D"])
-            )
-        print("%d/%d identities hold" % (sum(r["ok"] for r in rows), len(rows)))
-    return 0 if all(r["ok"] for r in rows) else 3
+    held = sum(r["ok"] for r in rows)
+    text = [
+        "%s %s (q=%s, delta=%s, D=%d)"
+        % ("PASS" if r["ok"] else "FAIL", r["check"], r["q"], r["delta"], r["D"])
+        for r in rows
+    ]
+    _emit(args.format, lambda: rows, text + ["%d/%d identities hold" % (held, len(rows))])
+    return 0 if held == len(rows) else 3
 
 
 def _make_map(args):
@@ -142,97 +140,91 @@ def cmd_basis(args) -> int:
         if p.degree > args.degree:
             print("error: basis element %d exceeds degree %d" % (n, args.degree), file=sys.stderr)
             return 3
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"map": m.to_json(), "elements": [p.to_json() for _, p in rows]},
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
-        for n, p in rows:
-            print("%d,%s" % (n, " ".join(str(c) for c in p.coeffs) or "0"))
-    else:
-        for n, p in rows:
-            print("|%d> = %s" % (n, p.to_text()))
+    _emit(
+        args.format,
+        lambda: {"map": m.to_json(), "elements": [p.to_json() for _, p in rows]},
+        ("|%d> = %s" % (n, p.to_text()) for n, p in rows),
+        ("%d,%s" % (n, " ".join(str(c) for c in p.coeffs) or "0") for n, p in rows),
+    )
     return 0
 
 
 def cmd_project(args) -> int:
     m = _make_map(args)
     f = _parse_poly(args, args.poly)
-    result = b_projection(f, m, args.degree)
-    _emit_poly(result, args.format)
+    _emit_poly(b_projection(f, m, args.degree), args.format)
     return 0
 
 
-def _hahn_params(args) -> HahnParams:
-    return HahnParams(
+def _hahn_args(args):
+    """Variant, parameters and q context (q variants only) of a Hahn command."""
+    variant = HahnVariant(args.variant)
+    params = HahnParams(
         rational(args.alpha),
         rational(args.beta),
         rational(args.N),
         delta=rational(args.delta),
         c1=rational(args.c1),
     )
-
-
-def _hahn_ctx(args, variant):
+    ctx = None
     if variant in (HahnVariant.Q_DEFORMED, HahnVariant.Q_SPECTRUM):
         if args.q is None:
             raise ValueError("%s requires --q" % variant.value)
-        return QContext(rational(args.q), max_index=max(64, args.degree * 2))
-    return None
+        ctx = _context(args)
+    return variant, params, ctx
 
 
 def cmd_hahn(args) -> int:
-    variant = HahnVariant(args.variant)
-    params = _hahn_params(args)
-    ctx = _hahn_ctx(args, variant)
+    variant, params, ctx = _hahn_args(args)
     rows = table_rows(variant, params, args.kmax, args.degree, ctx)
-    bad = [r for r in rows if r["residual"] != "0"]
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
-    elif args.format == "csv":
-        print("variant,k,eigenvalue,coefficients,residual")
-        for r in rows:
-            print(
-                "%s,%d,%s,%s,%s"
-                % (r["variant"], r["k"], r["eigenvalue"], " ".join(r["coefficients"]), r["residual"])
-            )
-    else:
-        for r in rows:
-            print(
-                "k=%-3d lambda=%-12s residual=%-3s coeffs=[%s]"
-                % (r["k"], r["eigenvalue"], r["residual"], ", ".join(r["coefficients"]))
-            )
+    _emit(
+        args.format,
+        lambda: rows,
+        (
+            "k=%-3d lambda=%-12s residual=%-3s coeffs=[%s]"
+            % (r["k"], r["eigenvalue"], r["residual"], ", ".join(r["coefficients"]))
+            for r in rows
+        ),
+        ["variant,k,eigenvalue,coefficients,residual"]
+        + [
+            "%s,%d,%s,%s,%s"
+            % (r["variant"], r["k"], r["eigenvalue"], " ".join(r["coefficients"]), r["residual"])
+            for r in rows
+        ],
+    )
+    bad = [r["k"] for r in rows if r["residual"] != "0"]
     if bad:
-        print("error: nonzero residual at k=%s" % [r["k"] for r in bad], file=sys.stderr)
+        print("error: nonzero residual at k=%s" % bad, file=sys.stderr)
         return 3
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    variant = HahnVariant(args.variant)
-    params = _hahn_params(args)
-    ctx = _hahn_ctx(args, variant)
+    variant, params, ctx = _hahn_args(args)
     rows = [
         {"k": k, "eigenvalue": str(spectrum(variant, params, k, ctx))}
         for k in range(args.kmax + 1)
     ]
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
-    elif args.format == "csv":
-        print("k,eigenvalue")
-        for r in rows:
-            print("%d,%s" % (r["k"], r["eigenvalue"]))
-    else:
-        for r in rows:
-            print("k=%-3d lambda=%s" % (r["k"], r["eigenvalue"]))
+    _emit(
+        args.format,
+        lambda: rows,
+        ("k=%-3d lambda=%s" % (r["k"], r["eigenvalue"]) for r in rows),
+        ["k,eigenvalue"] + ["%d,%s" % (r["k"], r["eigenvalue"]) for r in rows],
+    )
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a negative rational such as -1/2 as a value, not as an option."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_RATIONAL.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qdeform",
         description="Exact operator calculus for commutation-relation-preserving "
         "deformations: Jackson calculus, adapted bases, deformed Hahn operators.",

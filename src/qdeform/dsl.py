@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ParseError, SemanticError, SingularOperatorError
 from .maps import a_delta_expr, b_delta_expr, dq_expr, mq_expr, s_expr, xq_expr
@@ -49,15 +49,20 @@ from .opcore import (
     OpProd,
     OpSum,
     Scaled,
+    apply,
     gamma_ratio_diag,
     op_prod,
     op_sum,
     scaled,
+    working_degree,
 )
 from .poly import MONOMIAL, Poly
 from .qnum import QContext, rational
 
 _CALLS = ("qb", "qn", "inv", "exp")
+_ATOMS = {"x": COORD, "d": DERIV, "A": A_DIAG, "B": B_DIAG}
+_Q_ATOMS = {"Mq": mq_expr, "Dq": dq_expr, "xq": xq_expr, "S": s_expr, "U": gamma_ratio_diag}
+_DELTA_ATOMS = {"Ddelta": a_delta_expr, "xdelta": b_delta_expr}
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class _Parser:
                 raise SemanticError(
                     "%r requires the q parameter" % tok.value, tok.line, tok.col
                 )
-            self._ctx = QContext(self._q, max_index=128)
+            self._ctx = QContext(self._q)
         return self._ctx
 
     def delta(self, tok: Token) -> Fraction:
@@ -179,7 +184,11 @@ class _Parser:
             end = self.peek()
             if end.kind != "end":
                 raise ParseError("trailing input after poly literal", end.line, end.col)
-            return _expr_to_poly(e, inner_tok)
+            if not _built_from(e, (Coord, Ident)):
+                raise SemanticError(
+                    "poly literals admit only x and rationals", inner_tok.line, inner_tok.col
+                )
+            return apply(e, Poly.one(), working_degree(0, e))
         e = self.parse_expr()
         end = self.peek()
         if end.kind != "end":
@@ -250,109 +259,58 @@ class _Parser:
 
     def _build_atom(self, tok: Token) -> OpExpr:
         name = tok.value
-        if name == "x":
-            return COORD
-        if name == "d":
-            return DERIV
-        if name == "A":
-            return A_DIAG
-        if name == "B":
-            return B_DIAG
-        if name == "Mq":
-            return mq_expr(self.ctx(tok))
-        if name == "Dq":
-            return dq_expr(self.ctx(tok))
-        if name == "xq":
-            return xq_expr(self.ctx(tok))
-        if name == "S":
-            return s_expr(self.ctx(tok))
-        if name == "U":
-            return gamma_ratio_diag(self.ctx(tok))
-        if name == "Ddelta":
-            return a_delta_expr(self.delta(tok))
-        if name == "xdelta":
-            return b_delta_expr(self.delta(tok))
+        if name in _ATOMS:
+            return _ATOMS[name]
+        if name in _Q_ATOMS:
+            return _Q_ATOMS[name](self.ctx(tok))
+        if name in _DELTA_ATOMS:
+            return _DELTA_ATOMS[name](self.delta(tok))
         raise ParseError("unknown identifier %r" % name, tok.line, tok.col)
 
     def _build_call(self, tok: Token, arg: OpExpr) -> OpExpr:
         name = tok.value
         if name == "exp":
             return ExpOp(arg)
-        fn = _diag_spectral(arg)
-        if fn is None:
+        if not _built_from(arg, (DiagFn, DiagInv, Ident)):
             raise SemanticError(
                 "%s() requires a diagonal argument" % name, tok.line, tok.col
             )
+        spec = _spectrum(arg)
         if name == "inv":
-            if isinstance(arg, DiagFn):
-                return DiagInv(arg)
-            return DiagInv(DiagFn(pretty(arg), fn))
+            return DiagInv(arg if isinstance(arg, DiagFn) else DiagFn(pretty(arg), spec))
         ctx = self.ctx(tok)
+        outer = ctx.qnumber if name == "qn" else ctx.dbracket
         label = "%s(%s)" % (name, pretty(arg))
-        if name == "qn":
-            return DiagFn(label, _integer_spectral(ctx.qnumber, fn, label))
-        return DiagFn(label, _integer_spectral(ctx.dbracket, fn, label))
+
+        def fn(n):
+            v = spec(n)
+            if v.denominator != 1 or v < 0:
+                raise SingularOperatorError(
+                    "%s needs a nonnegative integer spectrum; got %s at degree %d"
+                    % (label, v, n)
+                )
+            return outer(int(v))
+
+        return DiagFn(label, fn)
 
 
-def _integer_spectral(outer, fn, label):
-    def wrapped(n):
-        v = fn(n)
-        if v.denominator != 1 or v < 0:
-            raise SingularOperatorError(
-                "%s needs a nonnegative integer spectrum; got %s at degree %d"
-                % (label, v, n)
-            )
-        return outer(int(v))
-
-    return wrapped
-
-
-def _diag_spectral(e: OpExpr) -> Optional[Callable[[int], Fraction]]:
-    """Spectral function of a structurally diagonal expression, else None."""
-    if isinstance(e, DiagFn):
-        return e.fn
-    if isinstance(e, Ident):
-        return lambda n: Fraction(1)
-    if isinstance(e, DiagInv):
-        inner = _diag_spectral(e.inner)
-        if inner is None:
-            return None
-
-        def inv_fn(n):
-            v = inner(n)
-            if v == 0:
-                raise SingularOperatorError("inverted zero eigenvalue at degree %d" % n)
-            return 1 / v
-
-        return inv_fn
+def _built_from(e: OpExpr, leaves) -> bool:
+    """True when e combines only nodes of the kinds in leaves by scaling,
+    sums, products and powers."""
     if isinstance(e, Scaled):
-        inner = _diag_spectral(e.op)
-        if inner is None:
-            return None
-        return lambda n: e.c * inner(n)
-    if isinstance(e, OpSum):
-        fns = [_diag_spectral(t) for t in e.terms]
-        if any(f is None for f in fns):
-            return None
-        return lambda n: sum((f(n) for f in fns), Fraction(0))
-    if isinstance(e, OpProd):
-        fns = [_diag_spectral(f) for f in e.factors]
-        if any(f is None for f in fns):
-            return None
-
-        def prod_fn(n):
-            acc = Fraction(1)
-            for f in fns:
-                acc *= f(n)
-            return acc
-
-        return prod_fn
+        return _built_from(e.op, leaves)
     if isinstance(e, IntPow):
-        inner = _diag_spectral(e.base)
-        if inner is None:
-            return None
-        return lambda n: inner(n) ** e.n
-    return None
+        return _built_from(e.base, leaves)
+    if isinstance(e, (OpSum, OpProd)):
+        parts = e.terms if isinstance(e, OpSum) else e.factors
+        return all(_built_from(t, leaves) for t in parts)
+    return isinstance(e, leaves)
+
+
+def _spectrum(e: OpExpr):
+    """Eigenvalue at degree n of a diagonal expression: the x^n coefficient
+    of its action on x^n."""
+    return lambda n: apply(e, Poly.monomial(n), n).coefficient(n)
 
 
 def parse(text: str, *, q=None, delta=None, ctx: Optional[QContext] = None):
@@ -441,36 +399,3 @@ def _render_bare(e: OpExpr) -> str:
             parts.append(txt)
         return "".join(parts)
     raise TypeError("cannot print %r" % (e,))
-
-
-# ---------------------------------------------------------------------------
-# Poly literals
-# ---------------------------------------------------------------------------
-
-
-def _expr_to_poly(e: OpExpr, tok: Token) -> Poly:
-    if isinstance(e, Coord):
-        return Poly.x()
-    if isinstance(e, Ident):
-        return Poly.one()
-    if isinstance(e, Scaled):
-        return _expr_to_poly(e.op, tok).scale(e.c)
-    if isinstance(e, OpSum):
-        acc = Poly.zero()
-        for t in e.terms:
-            acc = acc + _expr_to_poly(t, tok)
-        return acc
-    if isinstance(e, OpProd):
-        acc = Poly.one()
-        for f in e.factors:
-            acc = acc * _expr_to_poly(f, tok)
-        return acc
-    if isinstance(e, IntPow):
-        base = _expr_to_poly(e.base, tok)
-        acc = Poly.one()
-        for _ in range(e.n):
-            acc = acc * base
-        return acc
-    raise SemanticError(
-        "poly literals admit only x and rationals", tok.line, tok.col
-    )

@@ -51,6 +51,10 @@ class EmptyWindowError(MathError):
     """No truncation degree survives the band-safety restriction."""
 
 
+class SpectrumMismatchError(MathError):
+    """A realized diagonal disagrees with the closed-form spectrum."""
+
+
 class DegenerateSpectrumError(MathError):
     """Two eigenvalues collide; carries the colliding indices."""
 

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, SpectrumMismatchError
 from .maps import a_delta_expr, b_delta_expr, dq_expr
 from .opcore import (
     A_DIAG,
@@ -35,9 +35,9 @@ from .opcore import (
     apply,
     op_prod,
     op_sum,
-    peak_raise,
     realize_exact,
     scaled,
+    working_degree,
 )
 from .poly import FallingFactorial, Poly
 from .qnum import QContext, rational
@@ -198,6 +198,14 @@ def _check_distinct(eigvals):
         seen[lam] = k
 
 
+def _check_diagonal(lin: LinOp, eigvals):
+    for k, (got, lam) in enumerate(zip(lin.diagonal(), eigvals)):
+        if got != lam:
+            raise SpectrumMismatchError(
+                "realized diagonal at k=%d is %s, closed form gives %s" % (k, got, lam)
+            )
+
+
 def eigenpolynomials(
     variant: HahnVariant,
     params: HahnParams,
@@ -222,13 +230,13 @@ def eigenpolynomials(
         eigvals = [q_eigenvalue(params, ctx, k) for k in range(kmax + 1)]
         _check_distinct(eigvals)
         lin = realize_exact(build(variant, params, ctx), D)
-        assert list(lin.diagonal()[: kmax + 1]) == eigvals
+        _check_diagonal(lin, eigvals)
         return [Poly(_solve_triangular(lin, eigvals, k)) for k in range(kmax + 1)]
 
     eigvals = [eigenvalue(params, k) for k in range(kmax + 1)]
     _check_distinct(eigvals)
     lin = realize_exact(build(HahnVariant.CONTINUOUS, params), D)
-    assert list(lin.diagonal()[: kmax + 1]) == eigvals
+    _check_diagonal(lin, eigvals)
     gammas = [_solve_triangular(lin, eigvals, k) for k in range(kmax + 1)]
 
     if variant == HahnVariant.CONTINUOUS:
@@ -255,8 +263,7 @@ def residual(
     op = build(variant, params, ctx)
     p = h.to_monomial()
     lam = spectrum(variant, params, k, ctx)
-    window = p.degree + max(0, int(peak_raise(op))) if not p.is_zero else 1
-    return apply(op, p, window) - p.scale(lam)
+    return apply(op, p, working_degree(max(p.degree, 0), op)) - p.scale(lam)
 
 
 def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
@@ -265,43 +272,22 @@ def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
     entries = []
     for params in paramsets:
         lam = [eigenvalue(params, k) for k in range(kmax + 1)]
-        cont = realize_exact(build(HahnVariant.CONTINUOUS, params), D)
-        entries.append(
-            {
-                "check": "continuous-diagonal",
-                "params": _param_tag(params),
-                "ok": list(cont.diagonal()[: kmax + 1]) == lam,
-            }
-        )
-        three = realize_exact(build(HahnVariant.THREE_POINT, params), D)
-        entries.append(
-            {
-                "check": "three-point-diagonal",
-                "params": _param_tag(params),
-                "ok": list(three.diagonal()[: kmax + 1]) == lam,
-            }
-        )
+        cases = [
+            ("continuous-diagonal", HahnVariant.CONTINUOUS, None, lam),
+            ("three-point-diagonal", HahnVariant.THREE_POINT, None, lam),
+        ]
         for q in qs:
-            ctx = QContext(q, max_index=D + 8)
-            qdef = realize_exact(build(HahnVariant.Q_DEFORMED, params, ctx), D)
-            entries.append(
-                {
-                    "check": "q-deformed-diagonal",
-                    "params": _param_tag(params),
-                    "q": str(ctx.q),
-                    "ok": list(qdef.diagonal()[: kmax + 1]) == lam,
-                }
-            )
+            ctx = QContext(q)
             lam_q = [q_eigenvalue(params, ctx, k) for k in range(kmax + 1)]
-            qspec = realize_exact(build(HahnVariant.Q_SPECTRUM, params, ctx), D)
-            entries.append(
-                {
-                    "check": "q-spectrum-diagonal",
-                    "params": _param_tag(params),
-                    "q": str(ctx.q),
-                    "ok": list(qspec.diagonal()[: kmax + 1]) == lam_q,
-                }
-            )
+            cases.append(("q-deformed-diagonal", HahnVariant.Q_DEFORMED, ctx, lam))
+            cases.append(("q-spectrum-diagonal", HahnVariant.Q_SPECTRUM, ctx, lam_q))
+        for check, variant, ctx, expect in cases:
+            entry = {"check": check, "params": _param_tag(params)}
+            if ctx is not None:
+                entry["q"] = str(ctx.q)
+            lin = realize_exact(build(variant, params, ctx), D)
+            entry["ok"] = list(lin.diagonal()[: kmax + 1]) == expect
+            entries.append(entry)
     return {"ok": all(e["ok"] for e in entries), "entries": entries}
 
 

@@ -54,33 +54,24 @@ from .opcore import (
     ExpOp,
     IDENT,
     Ident,
-    IntPow,
     LinOp,
     OpExpr,
-    OpProd,
-    OpSum,
-    Scaled,
     apply,
     dbracket_diag,
     gamma_ratio_diag,
     op_prod,
     op_sum,
-    peak_raise,
     q_commutator,
     qnum_diag,
     realize_exact,
     scaled,
+    substitute,
+    working_degree,
 )
 from .poly import MONOMIAL, Poly
 from .qnum import QContext, rational
 
 DEFAULT_CHECK_DEGREE = 16
-
-
-def _context(q, floor: int = 64) -> QContext:
-    if isinstance(q, QContext):
-        return q
-    return QContext(q, max_index=max(floor, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +155,6 @@ class DeformMap:
         self.label = label
         self.image_a = image_a
         self.image_b = image_b
-        self.ctx = None
         self.q = q
         self.delta = delta
         self.relation_q = rational(relation_q)
@@ -210,22 +200,17 @@ class DeformMap:
         return self._basis[n]
 
     def _extend(self, n: int):
+        # raising images lift degree by exactly one, but intermediates may
+        # peak higher; one truncation gives every step headroom for both
+        Dw = working_degree(n, self.image_b, self.image_a)
         while len(self._basis) <= n:
             k = len(self._basis)
-            # raising images lift degree by exactly one, but intermediates may
-            # peak higher; work with enough headroom for both generator images
-            peaks = (peak_raise(self.image_b), peak_raise(self.image_a))
-            if math.inf in peaks:
-                raise MapConstructionError(
-                    "%s: generator image has unbounded degree growth" % self.label
-                )
-            head = max(1, int(max(peaks)))
-            nxt = apply(self.image_b, self._basis[-1], k - 1 + head)
+            nxt = apply(self.image_b, self._basis[-1], Dw)
             if nxt.degree != k:
                 raise MapConstructionError(
                     "%s: raising image failed to raise degree at step %d" % (self.label, k)
                 )
-            lowered = apply(self.image_a, nxt, k + head - 1)
+            lowered = apply(self.image_a, nxt, Dw)
             if lowered != self._basis[-1].scale(k):
                 raise MapConstructionError(
                     "%s: lowering law fails on basis element %d" % (self.label, k)
@@ -236,22 +221,15 @@ class DeformMap:
 
     def image(self, e: OpExpr) -> OpExpr:
         """Substitute this map's generator images throughout an expression."""
+        return substitute(e, self._image_leaf)
+
+    def _image_leaf(self, e: OpExpr) -> OpExpr:
         if isinstance(e, Coord):
             return self.image_b
         if isinstance(e, Deriv):
             return self.image_a
         if isinstance(e, Ident):
             return e
-        if isinstance(e, Scaled):
-            return scaled(e.c, self.image(e.op))
-        if isinstance(e, OpSum):
-            return op_sum(*(self.image(t) for t in e.terms))
-        if isinstance(e, OpProd):
-            return op_prod(*(self.image(f) for f in e.factors))
-        if isinstance(e, IntPow):
-            return IntPow(self.image(e.base), e.n)
-        if isinstance(e, ExpOp):
-            return ExpOp(self.image(e.arg))
         if isinstance(e, DiagFn):
             if self.preserves_degree:
                 return e
@@ -265,14 +243,9 @@ class DeformMap:
                 "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
             )
         if isinstance(e, DiagInv):
-            inner = self.image(e.inner)
-            if not isinstance(inner, (DiagFn, BasisDiag)):
-                raise UnsupportedCompositionError(
-                    "%s: inverse of a non-diagonal image" % self.label
-                )
-            return DiagInv(inner)
+            return DiagInv(self._image_leaf(e.inner))
         if isinstance(e, BasisDiag):
-            if e.meta is None or not isinstance(e.meta, DeformMap):
+            if not isinstance(e.meta, DeformMap):
                 raise UnsupportedCompositionError(
                     "%s: basis-diagonal node without an owning map" % self.label
                 )
@@ -330,8 +303,8 @@ def fb_map(
 
 def phi_q(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
     """The Jackson map: a -> [[B]]^(-1) a, b -> b [[B]]."""
-    ctx = _context(q)
-    m = DeformMap(
+    ctx = q if isinstance(q, QContext) else QContext(q)
+    return DeformMap(
         "phi_q",
         "phi_q[%s]" % ctx.q,
         dq_expr(ctx),
@@ -340,8 +313,6 @@ def phi_q(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
         preserves_degree=True,
         check_degree=check_degree,
     )
-    m.ctx = ctx
-    return m
 
 
 def phi_delta(delta, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
@@ -367,8 +338,8 @@ def phi_q_prime(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
     The image pair satisfies the q-weighted relation a b' - q b' a = 1
     rather than the plain commutation relation.
     """
-    ctx = _context(q)
-    m = DeformMap(
+    ctx = q if isinstance(q, QContext) else QContext(q)
+    return DeformMap(
         "phi_q_prime",
         "phi_q_prime[%s]" % ctx.q,
         DERIV,
@@ -377,8 +348,6 @@ def phi_q_prime(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
         relation_q=ctx.q,
         check_degree=check_degree,
     )
-    m.ctx = ctx
-    return m
 
 
 def compose(
@@ -451,25 +420,11 @@ def map_from_json(data: dict, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> De
 # ---------------------------------------------------------------------------
 
 
-class AdaptedBasis:
-    """Lazily extended view of the sequence |0>, |1>, ... for a map."""
-
-    def __init__(self, m: DeformMap, D: int):
-        self.map = m
-        self.D = D
-
-    def element(self, n: int) -> Poly:
-        if n > self.D:
-            raise ValueError("basis index %d exceeds the truncation %d" % (n, self.D))
-        return self.map.basis_element(n)
-
-    def elements(self):
-        return [self.element(n) for n in range(self.D + 1)]
-
-
 def adapted_basis(m: DeformMap, n: int, D: int) -> Poly:
     """|n> for the map, built by repeated application of the raising image."""
-    return AdaptedBasis(m, D).element(n)
+    if n > D:
+        raise ValueError("basis index %d exceeds the truncation %d" % (n, D))
+    return m.basis_element(n)
 
 
 def b_projection(f: Poly, m: DeformMap, D: int) -> Poly:
@@ -522,7 +477,8 @@ def quantum_average(p: Poly, ctx: QContext) -> Poly:
 def rolle_check(f: Poly, ctx: QContext, D: int) -> bool:
     """Quantum Rolle identity: the conjugate coordinate acting on f equals
     x times (quantum average of f plus quantum average of x f')."""
-    lhs = apply(xq_expr(ctx), f, D + 1)
+    xq = xq_expr(ctx)
+    lhs = apply(xq, f, working_degree(D, xq))
     xfprime = Poly.x() * f.derivative() if not f.is_zero else Poly.zero()
     tilde = quantum_average(f, ctx) + quantum_average(xfprime, ctx)
     rhs = Poly.x() * tilde

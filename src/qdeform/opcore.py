@@ -264,18 +264,7 @@ def _apply(e, p, D, trunc):
     if isinstance(e, DiagInv):
         if isinstance(e.inner, BasisDiag):
             return _basis_apply(e.inner, p, invert=True)
-        out = []
-        for n, c in enumerate(p.coeffs):
-            if c == 0:
-                out.append(c)
-                continue
-            g = e.inner.fn(n)
-            if g == 0:
-                raise SingularOperatorError(
-                    "inv(%s) hit eigenvalue 0 at occupied degree %d" % (e.inner.name, n)
-                )
-            out.append(c / g)
-        return Poly(out)
+        return Poly([c / _divisor(e.inner, n) if c else c for n, c in enumerate(p.coeffs)])
     if isinstance(e, BasisDiag):
         return _basis_apply(e, p, invert=False)
     if isinstance(e, ExpOp):
@@ -301,6 +290,16 @@ def _apply(e, p, D, trunc):
     raise TypeError("not an operator expression: %r" % (e,))
 
 
+def _divisor(diag, n: int) -> Fraction:
+    """Eigenvalue of diag at an occupied degree n that an inverse divides by."""
+    g = diag.fn(n)
+    if g == 0:
+        raise SingularOperatorError(
+            "inv(%s) hit eigenvalue 0 at occupied degree %d" % (diag.name, n)
+        )
+    return g
+
+
 def _basis_apply(bd: BasisDiag, p: Poly, *, invert: bool) -> Poly:
     # Triangular elimination: each basis element has exact degree n, so
     # components are read off from the top degree down.
@@ -318,15 +317,7 @@ def _basis_apply(bd: BasisDiag, p: Poly, *, invert: bool) -> Poly:
         rem = rem - bn.scale(c)
     acc = Poly.zero()
     for n, c, bn in comps:
-        g = bd.fn(n)
-        if invert:
-            if g == 0:
-                raise SingularOperatorError(
-                    "inv(%s) hit eigenvalue 0 at occupied component %d" % (bd.name, n)
-                )
-            w = c / g
-        else:
-            w = c * g
+        w = c / _divisor(bd, n) if invert else c * bd.fn(n)
         if w:
             acc = acc + bn.scale(w)
     return acc
@@ -337,27 +328,43 @@ def _basis_apply(bd: BasisDiag, p: Poly, *, invert: bool) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _degree_fold(e: OpExpr):
+    """(net, peak) for e: an upper bound on its total degree shift, and the
+    largest intermediate degree raise along its action path. Both are
+    math.inf for exponentials of raising operators."""
+    if isinstance(e, Coord):
+        return 1, 1
+    if isinstance(e, Deriv):
+        return -1, 0
+    if isinstance(e, (Ident, DiagFn, DiagInv, BasisDiag)):
+        return 0, 0
+    if isinstance(e, Scaled):
+        return _degree_fold(e.op)
+    if isinstance(e, OpSum):
+        folds = [_degree_fold(t) for t in e.terms]
+        return max((n for n, _ in folds), default=0), max((p for _, p in folds), default=0)
+    if isinstance(e, OpProd):
+        net = peak = 0
+        for f in reversed(e.factors):
+            n, p = _degree_fold(f)
+            peak = max(peak, net + p)
+            net += n
+        return net, peak
+    if isinstance(e, IntPow):
+        n, p = _degree_fold(e.base)
+        if e.n <= 1:
+            return (n, p) if e.n else (0, 0)
+        return e.n * n, p + (e.n - 1) * max(n, 0)
+    if isinstance(e, ExpOp):
+        n, p = _degree_fold(e.arg)
+        return (math.inf, math.inf) if n > 0 else (0, max(0, p))
+    raise TypeError("not an operator expression: %r" % (e,))
+
+
 def degree_raise_bound(e: OpExpr):
     """Upper bound on the total degree shift of e (may be -inf-like negative,
     or math.inf for exponentials of raising operators)."""
-    if isinstance(e, Coord):
-        return 1
-    if isinstance(e, Deriv):
-        return -1
-    if isinstance(e, (Ident, DiagFn, DiagInv, BasisDiag)):
-        return 0
-    if isinstance(e, Scaled):
-        return degree_raise_bound(e.op)
-    if isinstance(e, OpSum):
-        return max((degree_raise_bound(t) for t in e.terms), default=0)
-    if isinstance(e, OpProd):
-        return sum(degree_raise_bound(f) for f in e.factors)
-    if isinstance(e, IntPow):
-        return e.n * degree_raise_bound(e.base)
-    if isinstance(e, ExpOp):
-        b = degree_raise_bound(e.arg)
-        return 0 if b <= 0 else math.inf
-    raise TypeError("not an operator expression: %r" % (e,))
+    return _degree_fold(e)[0]
 
 
 def peak_raise(e: OpExpr):
@@ -365,32 +372,18 @@ def peak_raise(e: OpExpr):
 
     Working at truncation D + peak_raise(e) guarantees apply() cannot
     overflow on inputs of degree <= D whose exact image fits in D."""
-    if isinstance(e, Coord):
-        return 1
-    if isinstance(e, (Deriv, Ident, DiagFn, DiagInv, BasisDiag)):
-        return 0
-    if isinstance(e, Scaled):
-        return peak_raise(e.op)
-    if isinstance(e, OpSum):
-        return max((peak_raise(t) for t in e.terms), default=0)
-    if isinstance(e, OpProd):
-        run = 0
-        pk = 0
-        for f in reversed(e.factors):
-            pk = max(pk, run + peak_raise(f))
-            run += degree_raise_bound(f)
-        return pk
-    if isinstance(e, IntPow):
-        if e.n == 0:
-            return 0
-        b = degree_raise_bound(e.base)
-        extra = (e.n - 1) * b if b > 0 else 0
-        return peak_raise(e.base) + extra
-    if isinstance(e, ExpOp):
-        if degree_raise_bound(e.arg) > 0:
-            return math.inf
-        return max(0, peak_raise(e.arg))
-    raise TypeError("not an operator expression: %r" % (e,))
+    return _degree_fold(e)[1]
+
+
+def working_degree(D: int, *exprs) -> int:
+    """Truncation at which every expr acts on inputs of degree <= D without
+    overflow: D plus the largest peak raise among them."""
+    margin = max((peak_raise(e) for e in exprs), default=0)
+    if margin == math.inf:
+        raise NonterminatingExponentialError(
+            "cannot bound the degree growth of this operator"
+        )
+    return D + max(0, int(margin))
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +545,7 @@ def realize(e: OpExpr, D: int, *, allow_truncation: bool = False) -> LinOp:
 def realize_exact(e: OpExpr, D: int) -> LinOp:
     """Like realize, but works at an inflated internal truncation so that a
     column is marked only when its exact image genuinely leaves degree D."""
-    margin = peak_raise(e)
-    if margin is math.inf:
-        raise NonterminatingExponentialError(
-            "cannot bound the degree growth of this operator"
-        )
-    Dw = D + max(0, int(margin))
+    Dw = working_degree(D, e)
     cols = []
     for n in range(D + 1):
         img = apply(e, Poly.monomial(n), Dw)
@@ -571,13 +559,7 @@ def acts_equally(e1: OpExpr, e2: OpExpr, D: int) -> bool:
 
 
 def _weighted_commutator(e1, e2, w, D):
-    both = (op_prod(e1, e2), op_prod(e2, e1))
-    margin = max(peak_raise(both[0]), peak_raise(both[1]))
-    if margin is math.inf:
-        raise NonterminatingExponentialError(
-            "cannot bound the degree growth of this commutator"
-        )
-    Dw = D + max(0, int(margin))
+    Dw = working_degree(D, op_prod(e1, e2), op_prod(e2, e1))
     cols = []
     for n in range(D + 1):
         xn = Poly.monomial(n)
@@ -605,6 +587,32 @@ def q_commutator(e1: OpExpr, e2: OpExpr, q, D: int) -> LinOp:
 # ---------------------------------------------------------------------------
 
 
+def substitute(e: OpExpr, leaf, *, reverse: bool = False) -> OpExpr:
+    """Rebuild the scalings, sums, products, powers and exponentials of e
+    around leaf(node) for every other node; reverse flips every product."""
+    if isinstance(e, Scaled):
+        return scaled(e.c, substitute(e.op, leaf, reverse=reverse))
+    if isinstance(e, OpSum):
+        return op_sum(*(substitute(t, leaf, reverse=reverse) for t in e.terms))
+    if isinstance(e, OpProd):
+        factors = reversed(e.factors) if reverse else e.factors
+        return op_prod(*(substitute(f, leaf, reverse=reverse) for f in factors))
+    if isinstance(e, IntPow):
+        return IntPow(substitute(e.base, leaf, reverse=reverse), e.n)
+    if isinstance(e, ExpOp):
+        return ExpOp(substitute(e.arg, leaf, reverse=reverse))
+    return leaf(e)
+
+
+_STARRED = {COORD: DERIV, DERIV: COORD, IDENT: IDENT}
+
+
+def _star_leaf(e: OpExpr) -> OpExpr:
+    if e not in _STARRED:
+        raise UnsupportedStarError("star is undefined on %r" % (e,))
+    return _STARRED[e]
+
+
 def star(e: OpExpr) -> OpExpr:
     """Antihomomorphism swapping the generators: x* = d, d* = x.
 
@@ -612,23 +620,7 @@ def star(e: OpExpr) -> OpExpr:
     words (and exponentials of words); diagonal nodes have no structural
     image and raise.
     """
-    if isinstance(e, Coord):
-        return DERIV
-    if isinstance(e, Deriv):
-        return COORD
-    if isinstance(e, Ident):
-        return IDENT
-    if isinstance(e, Scaled):
-        return Scaled(e.c, star(e.op))
-    if isinstance(e, OpSum):
-        return OpSum(tuple(star(t) for t in e.terms))
-    if isinstance(e, OpProd):
-        return OpProd(tuple(star(f) for f in reversed(e.factors)))
-    if isinstance(e, IntPow):
-        return IntPow(star(e.base), e.n)
-    if isinstance(e, ExpOp):
-        return ExpOp(star(e.arg))
-    raise UnsupportedStarError("star is undefined on %r" % (e,))
+    return substitute(e, _star_leaf, reverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -28,40 +28,43 @@ Rational = Fraction
 def rational(value) -> Fraction:
     """Coerce ints, "p/q" strings and Fractions to Fraction.
 
-    Floats are rejected: they would silently break exactness.
+    Floats are rejected: they would silently break exactness. A zero
+    denominator is a ValueError, like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % value) from None
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
 class QContext:
-    """Deformation parameter q plus memoized q-combinatorics up to max_index.
+    """Deformation parameter q plus memoized q-combinatorics.
 
-    Requires q != 1 and {n} != 0 for 1 <= n <= max_index (the latter only
-    fails at q = -1 for rational q). Values of q outside -1 < q < 1 are
-    accepted but trigger a warning, since the usual convergence picture for
-    the Jackson integral no longer applies there.
+    Requires q != 1 and q != -1: for rational q, -1 is the only value at
+    which some {n} vanishes. Values of q outside -1 < q < 1 are accepted
+    but trigger a warning, since the usual convergence picture for the
+    Jackson integral no longer applies there.
+
+    The tables grow on demand to the largest index asked for. Growth builds
+    new tuples and rebinds them, so a reader always holds a complete table
+    and concurrent use needs no lock; racing growers compute identical
+    values.
     """
 
-    __slots__ = ("q", "max_index", "_qnum", "_qfact", "_dbfact")
+    __slots__ = ("q", "_qnum", "_fact")
 
-    def __init__(self, q, max_index: int = 64):
+    def __init__(self, q):
         q = rational(q)
         if q == 1:
             raise ValueError("q = 1 is the undeformed point; q must differ from 1")
-        if max_index < 0:
-            raise ValueError("max_index must be nonnegative")
-        qnum = [Fraction(0)]
-        for n in range(1, max_index + 1):
-            nxt = 1 + q * qnum[-1]  # {n+1} = 1 + q{n}
-            if nxt == 0:
-                raise ValueError("{%d} = 0 at q = %s; reduce max_index or change q" % (n, q))
-            qnum.append(nxt)
+        if q == -1:
+            raise ValueError("{2} = 0 at q = -1; q must differ from -1")
         if not -1 < q < 1:
             warnings.warn(
                 "q = %s lies outside -1 < q < 1; identities remain exact but "
@@ -69,52 +72,57 @@ class QContext:
                 stacklevel=2,
             )
         self.q = q
-        self.max_index = max_index
-        self._qnum = qnum
-        # factorial tables built eagerly so the context is immutable after
-        # construction (the concurrency contract)
-        qfact = [Fraction(1)]
-        dbfact = [Fraction(1)]
-        for k in range(1, max_index + 1):
-            qfact.append(qfact[-1] * qnum[k])
-            dbfact.append(dbfact[-1] * (k / qnum[k]))
-        self._qfact = qfact
-        self._dbfact = dbfact
+        self._qnum = (Fraction(0),)
+        # ({n}!, [[n]]!) rebound as one pair so the two always agree in length
+        self._fact = ((Fraction(1),), (Fraction(1),))
 
-    def _check(self, n: int) -> int:
-        n = int(n)
-        if not 0 <= n <= self.max_index:
-            raise ValueError(
-                "index %d outside this context's verified range 0..%d" % (n, self.max_index)
-            )
-        return n
+    def _qnums(self, n: int) -> tuple:
+        """The table {0}..{n} (at least), grown if needed."""
+        if n < 0:
+            raise ValueError("index %d is negative" % n)
+        t = self._qnum
+        if len(t) <= n:
+            grown = list(t)
+            while len(grown) <= n:
+                grown.append(1 + self.q * grown[-1])  # {n+1} = 1 + q{n}
+            t = self._qnum = tuple(grown)
+        return t
+
+    def _factorials(self, n: int) -> tuple:
+        """The tables ({k}!, [[k]]!) for k = 0..n (at least), grown if needed."""
+        qnum = self._qnums(n)
+        t = self._fact
+        if len(t[0]) <= n:
+            qfact, dbfact = list(t[0]), list(t[1])
+            for k in range(len(qfact), n + 1):
+                qfact.append(qfact[-1] * qnum[k])
+                dbfact.append(dbfact[-1] * (k / qnum[k]))
+            t = self._fact = (tuple(qfact), tuple(dbfact))
+        return t
 
     def qnumber(self, n: int) -> Fraction:
         """{n} = (1 - q^n)/(1 - q)."""
-        return self._qnum[self._check(n)]
+        return self._qnums(n)[n]
 
     def dbracket(self, n: int) -> Fraction:
         """[[n]] = n/{n}, with [[0]] = 1."""
-        n = self._check(n)
-        if n == 0:
-            return Fraction(1)
-        return n / self._qnum[n]
+        qn = self._qnums(n)[n]
+        return Fraction(1) if n == 0 else n / qn
 
     def qfactorial(self, n: int) -> Fraction:
         """{n}! = {1}{2}...{n}, empty product at n = 0."""
-        return self._qfact[self._check(n)]
+        return self._factorials(n)[0][n]
 
     def dbracket_factorial(self, n: int) -> Fraction:
         """[[n]]! = [[1]][[2]]...[[n]], with [[0]]! = 1."""
-        return self._dbfact[self._check(n)]
+        return self._factorials(n)[1][n]
 
     def gamma_ratio(self, n: int) -> Fraction:
         """u(n) = Gamma_q(n+1)/Gamma(n+1) = {n}!/n!."""
-        n = self._check(n)
         return self.qfactorial(n) / math.factorial(n)
 
     def __repr__(self):
-        return "QContext(q=%s, max_index=%d)" % (self.q, self.max_index)
+        return "QContext(q=%s)" % self.q
 
 
 @lru_cache(maxsize=None)

@@ -56,8 +56,8 @@ Q_GRID = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(9, 10))
 DELTA_GRID = (Fraction(1), Fraction(1, 2))
 
 
-def ctx_for(q, top=64):
-    return QContext(q, max_index=top)
+def ctx_for(q):
+    return QContext(q)
 
 
 def report(number, description, ok):

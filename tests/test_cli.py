@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,7 +184,7 @@ class TestHahnTables:
         )
         assert code == 0
         lines = out.splitlines()[1:]
-        ctx = QContext("1/2", 16)
+        ctx = QContext("1/2")
         params = HahnParams(0, 0, 5)
         for k, line in enumerate(lines):
             assert line == "%d,%s" % (k, q_eigenvalue(params, ctx, k))
@@ -202,6 +203,83 @@ class TestHahnTables:
         )
         assert code == 2
         assert "--q" in err
+
+
+class TestLargeIndices:
+    """Valid commands whose q-tables reach past index 64."""
+
+    def test_basis_past_64(self, capsys):
+        code, out, _ = run(capsys, "basis", "phi_q", "70", "--q", "1/2", "--degree", "80")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 71
+        assert lines[-1] == "|70> = %s*x^70" % QContext("1/2").dbracket_factorial(70)
+
+    def test_project_past_64(self, capsys):
+        code, out, _ = run(capsys, "project", "phi_q", "x^70", "--q", "1/2", "--degree", "80")
+        assert (code, out) == (0, "%s*x^70\n" % QContext("1/2").dbracket_factorial(70))
+
+    def test_spectrum_past_64(self, capsys):
+        from qdeform.hahn import HahnParams, q_eigenvalue
+
+        code, out, _ = run(
+            capsys, "spectrum", "q_spectrum", "--alpha", "0", "--beta", "0",
+            "--N", "5", "--q", "1/2", "--kmax", "100", "--format", "csv",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 102
+        lam = q_eigenvalue(HahnParams(0, 0, 5), QContext("1/2"), 100)
+        assert lines[-1] == "100,%s" % lam
+
+
+class TestRationalFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "qccr", "--q", "1/0"),
+            ("basis", "phi_delta", "3", "--delta", "1/0"),
+            ("spectrum", "continuous", "--alpha", "1/0", "--beta", "0", "--N", "5"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "qccr", "--degree", "6"),
+            ("apply", "Dq", "x^3"),
+            ("spectrum", "q_spectrum", "--alpha", "0", "--beta", "0", "--N", "5"),
+        ],
+    )
+    def test_negative_rational_value(self, capsys, argv):
+        joined = run(capsys, *argv, "--q=-1/2")
+        spaced = run(capsys, *argv, "--q", "-1/2")
+        assert joined[0] == 0
+        assert spaced == joined
+
+    def test_negative_rational_for_every_hahn_flag(self, capsys):
+        argv = ["spectrum", "continuous", "--N", "5", "--kmax", "2"]
+        flags = [("--alpha", "-1/2"), ("--beta", "-1/3"), ("--delta", "-1/2"), ("--c1", "-1/2")]
+        spaced = run(capsys, *argv, *[x for f in flags for x in f])
+        joined = run(capsys, *argv, *["%s=%s" % f for f in flags])
+        assert joined[0] == 0
+        assert spaced == joined
+
+
+class TestSpectrumGate:
+    def test_mismatched_diagonal_exits_3(self, capsys, monkeypatch):
+        import qdeform.hahn
+
+        monkeypatch.setattr(qdeform.hahn, "eigenvalue", lambda params, k: Fraction(k))
+        code, out, err = run(
+            capsys, "hahn", "continuous", "--alpha", "0", "--beta", "0", "--N", "5", "--kmax", "2"
+        )
+        assert (code, out) == (3, "")
+        assert "closed form" in err
 
 
 class TestDeterminism:

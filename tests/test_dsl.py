@@ -26,8 +26,8 @@ Q = Fraction(1, 2)
 DELTA = Fraction(1)
 
 
-def ctx_for(q=Q, top=64):
-    return QContext(q, max_index=top)
+def ctx_for(q=Q):
+    return QContext(q)
 
 
 class TestDocumentedIdentities:

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qdeform.hahn
 from conftest import random_poly
-from qdeform.errors import DegenerateSpectrumError
+from qdeform.errors import DegenerateSpectrumError, MathError
 from qdeform.hahn import (
     HahnParams,
     HahnVariant,
@@ -29,8 +33,8 @@ PARAM_SETS = (
 )
 
 
-def ctx_for(q, top=48):
-    return QContext(q, max_index=top)
+def ctx_for(q):
+    return QContext(q)
 
 
 class TestParams:
@@ -231,3 +235,49 @@ class TestTable:
         assert rows[2]["eigenvalue"] == "-6"
         assert all(r["residual"] == "0" for r in rows)
         assert all(r["variant"] == "continuous" for r in rows)
+
+
+def _pochhammer(a, j):
+    out = Fraction(1)
+    for i in range(j):
+        out *= a + i
+    return out
+
+
+def monic_hahn_falling(k, alpha, beta, N):
+    """Monic Q_k(x; beta, alpha, N-1) = 3F2(-k, k+alpha+beta+1, -x; beta+1, -N+1; 1)
+    (Koekoek-Lesky-Swarttouw 2010, 9.5) in the falling basis [x]_j, using
+    (-x)_j = (-1)^j [x]_j."""
+    coeffs = [
+        _pochhammer(-k, j) * _pochhammer(k + alpha + beta + 1, j) * (-1) ** j
+        / (_pochhammer(beta + 1, j) * _pochhammer(1 - N, j) * factorial(j))
+        for j in range(k + 1)
+    ]
+    return [c / coeffs[k] for c in coeffs]
+
+
+class TestIndependentOracle:
+    @given(
+        alpha=st.fractions(min_value=0, max_value=3, max_denominator=5),
+        beta=st.fractions(min_value=0, max_value=3, max_denominator=5),
+        N=st.integers(min_value=2, max_value=12),
+    )
+    @settings(max_examples=25)
+    def test_three_point_is_monic_hahn(self, alpha, beta, N):
+        params = HahnParams(alpha, beta, N)
+        kmax = min(N - 1, 6)
+        polys = eigenpolynomials(HahnVariant.THREE_POINT, params, kmax, kmax)
+        for k, h in enumerate(polys):
+            assert h.basis == FallingFactorial(1)
+            assert list(h.coeffs) == monic_hahn_falling(k, alpha, beta, N)
+
+    def test_hand_example(self):
+        # Q_2(x; 0, 0, 4) = 1 - 3x/2 + x(x-1)/2, monic: [x]_2 - 3x + 2
+        assert monic_hahn_falling(2, 0, 0, 5) == [2, -3, 1]
+
+
+class TestDiagonalGate:
+    def test_mismatch_raises_math_error(self, monkeypatch):
+        monkeypatch.setattr(qdeform.hahn, "eigenvalue", lambda params, k: Fraction(k))
+        with pytest.raises(MathError):
+            eigenpolynomials(HahnVariant.CONTINUOUS, PARAMS, 3, 8)

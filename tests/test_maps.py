@@ -9,7 +9,6 @@ from conftest import DELTA_GRID, Q_GRID, random_poly, small_rationals
 from qdeform.errors import MapConstructionError, UnsupportedBasisOperationError
 from qdeform.maps import (
     DeformMap,
-    AdaptedBasis,
     adapted_basis,
     b_projection,
     compose,
@@ -54,8 +53,8 @@ from qdeform.poly import Poly
 from qdeform.qnum import QContext, stirling_first
 
 
-def ctx_for(q, top=48):
-    return QContext(q, max_index=top)
+def ctx_for(q):
+    return QContext(q)
 
 
 def falling_poly(n, delta):
@@ -173,10 +172,10 @@ class TestAdaptedBases:
                 assert down == adapted_basis(m, n - 1, 12).scale(n) if n else down.is_zero
 
     def test_adapted_basis_view(self):
-        basis = AdaptedBasis(phi_delta(1), 6)
-        assert basis.elements() == [falling_poly(n, 1) for n in range(7)]
+        m = phi_delta(1)
+        assert [adapted_basis(m, n, 6) for n in range(7)] == [falling_poly(n, 1) for n in range(7)]
         with pytest.raises(ValueError):
-            basis.element(7)
+            adapted_basis(m, 7, 6)
 
     def test_non_ccr_map_has_no_adapted_basis(self):
         with pytest.raises(UnsupportedBasisOperationError):
@@ -431,7 +430,7 @@ class TestQCC:
         assert qcc_delta_check(ctx_for(Fraction(1, 2)), 0, 10)
 
     def test_q_zero(self):
-        assert qcc_delta_check(QContext(0, 48), 1, 10)
+        assert qcc_delta_check(QContext(0), 1, 10)
 
     def test_low_degree_expansion_cross_check(self):
         # The conjugate acts on the adapted basis as |n> -> |n+1>/[[n+1]]

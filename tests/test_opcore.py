@@ -43,8 +43,8 @@ from qdeform.poly import Poly
 from qdeform.qnum import QContext
 
 
-def ctx_for(q, top=40):
-    return QContext(q, max_index=top)
+def ctx_for(q):
+    return QContext(q)
 
 
 class TestApply:

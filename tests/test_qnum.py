@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -16,58 +18,58 @@ def qnumber_oracle(q: Fraction, n: int) -> Fraction:
 
 class TestQNumber:
     def test_hand_value(self):
-        ctx = QContext(Fraction(1, 2), 8)
+        ctx = QContext(Fraction(1, 2))
         assert ctx.qnumber(3) == Fraction(7, 4)
 
     def test_zero_and_one(self):
         for q in Q_GRID:
-            ctx = QContext(q, 8)
+            ctx = QContext(q)
             assert ctx.qnumber(0) == 0
             assert ctx.qnumber(1) == 1
 
     @given(q=q_values, n=st.integers(min_value=0, max_value=24))
     def test_matches_direct_formula(self, q, n):
-        assert QContext(q, 24).qnumber(n) == qnumber_oracle(q, n)
+        assert QContext(q).qnumber(n) == qnumber_oracle(q, n)
 
     @given(q=q_values, n=st.integers(min_value=0, max_value=23))
     def test_recurrence(self, q, n):
-        ctx = QContext(q, 24)
+        ctx = QContext(q)
         assert ctx.qnumber(n + 1) == 1 + q * ctx.qnumber(n)
 
     def test_q_zero_is_all_ones(self):
-        ctx = QContext(0, 10)
+        ctx = QContext(0)
         assert all(ctx.qnumber(n) == 1 for n in range(1, 11))
 
 
 class TestDBracket:
     def test_hand_value(self):
-        assert QContext(Fraction(1, 2), 8).dbracket(2) == Fraction(4, 3)
+        assert QContext(Fraction(1, 2)).dbracket(2) == Fraction(4, 3)
 
     def test_conventions(self):
         for q in Q_GRID:
-            ctx = QContext(q, 8)
+            ctx = QContext(q)
             assert ctx.dbracket(0) == 1
             assert ctx.dbracket(1) == 1
 
     @given(q=q_values, n=st.integers(min_value=1, max_value=24))
     def test_bracket_times_qnumber(self, q, n):
-        ctx = QContext(q, 24)
+        ctx = QContext(q)
         assert ctx.dbracket(n) * ctx.qnumber(n) == n
 
 
 class TestFactorials:
     def test_dbracket_factorial_value(self):
-        ctx = QContext(Fraction(1, 2), 8)
+        ctx = QContext(Fraction(1, 2))
         assert ctx.dbracket_factorial(2) == Fraction(4, 3)  # [[1]]*[[2]]
 
     def test_empty_products(self):
         for q in Q_GRID:
-            ctx = QContext(q, 4)
+            ctx = QContext(q)
             assert ctx.qfactorial(0) == 1
             assert ctx.dbracket_factorial(0) == 1
 
     def test_product_oracles(self):
-        ctx = QContext(Fraction(1, 3), 12)
+        ctx = QContext(Fraction(1, 3))
         qf = Fraction(1)
         db = Fraction(1)
         for n in range(1, 13):
@@ -79,21 +81,21 @@ class TestFactorials:
     @given(q=q_values, n=st.integers(min_value=0, max_value=10))
     def test_cross_identity(self, q, n):
         # [[n]]! = n!/{n}!; two independent product definitions
-        ctx = QContext(q, 10)
+        ctx = QContext(q)
         assert ctx.dbracket_factorial(n) == factorial(n) / ctx.qfactorial(n)
 
 
 class TestGammaRatio:
     def test_empty(self):
         for q in Q_GRID:
-            assert QContext(q, 4).gamma_ratio(0) == 1
+            assert QContext(q).gamma_ratio(0) == 1
 
     def test_hand_value(self):
-        assert QContext(Fraction(1, 2), 8).gamma_ratio(2) == Fraction(3, 4)
+        assert QContext(Fraction(1, 2)).gamma_ratio(2) == Fraction(3, 4)
 
     @given(q=q_values, n=st.integers(min_value=1, max_value=10))
     def test_telescoping(self, q, n):
-        ctx = QContext(q, 10)
+        ctx = QContext(q)
         assert ctx.gamma_ratio(n) / ctx.gamma_ratio(n - 1) == ctx.qnumber(n) / n
 
 
@@ -158,31 +160,67 @@ class TestStirling:
 class TestQContext:
     def test_rejects_q_one(self):
         with pytest.raises(ValueError):
-            QContext(1, 4)
+            QContext(1)
 
     def test_rejects_vanishing_qnumber(self):
         with pytest.raises(ValueError):
-            QContext(-1, 4)  # {2} = 0
+            QContext(-1)  # {2} = 0
 
     def test_warns_outside_unit_interval(self):
         with pytest.warns(UserWarning):
-            QContext(2, 8)
+            QContext(2)
 
     def test_no_warning_inside(self, recwarn):
-        QContext(Fraction(9, 10), 8)
+        QContext(Fraction(9, 10))
         assert not recwarn.list
 
     def test_index_bound_enforced(self):
-        ctx = QContext(Fraction(1, 2), 4)
+        ctx = QContext(Fraction(1, 2))
+        for method in (ctx.qnumber, ctx.dbracket, ctx.qfactorial, ctx.gamma_ratio):
+            with pytest.raises(ValueError):
+                method(-1)
+
+    def test_tables_grow_on_demand(self):
+        ctx = QContext(Fraction(1, 2))
+        assert ctx.qnumber(100) == qnumber_oracle(Fraction(1, 2), 100)
+        assert ctx.qfactorial(70) == ctx.qfactorial(69) * ctx.qnumber(70)
+        assert ctx.dbracket_factorial(3) == 1 * Fraction(4, 3) * Fraction(12, 7)
+
+    def test_growth_is_safe_across_threads(self):
+        q = Fraction(9, 10)
+        ctx = QContext(q)
+        bad = []
+
+        def worker(offset):
+            for n in range(offset, 150, 4):
+                if ctx.qnumber(n) != qnumber_oracle(q, n) or ctx.qfactorial(n) != (
+                    ctx.qfactorial(n - 1) * qnumber_oracle(q, n) if n else 1
+                ):
+                    bad.append(n)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError):
-            ctx.qnumber(5)
+            rational("1/0")
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             rational(0.5)
 
     def test_everything_is_exact(self):
-        ctx = QContext(Fraction(9, 10), 16)
+        ctx = QContext(Fraction(9, 10))
         for n in range(17):
             for v in (ctx.qnumber(n), ctx.dbracket(n), ctx.qfactorial(n)):
                 assert isinstance(v, Fraction)

@@ -8,7 +8,7 @@ from qdeform.verify import SUITES, run_suite
 
 @pytest.fixture(scope="module")
 def ctx():
-    return QContext(Fraction(1, 2), max_index=48)
+    return QContext(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -27,4 +27,4 @@ def test_all_runs_every_suite(ctx):
 
 def test_unknown_suite():
     with pytest.raises(ValueError):
-        run_suite("bogus", QContext(Fraction(1, 2), 16), 1, 8)
+        run_suite("bogus", QContext(Fraction(1, 2)), 1, 8)
