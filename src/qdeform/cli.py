@@ -9,9 +9,11 @@ identity violation). Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
+import threading
 
 from .errors import DslError, MathError
 from .hahn import HahnParams, HahnVariant, spectrum, table_rows
@@ -281,7 +283,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Commands running at once share one lift of the int-string digit limit: the
+# first to start saves the caller's limit and lifts it, the last to finish
+# puts it back.
+_digits_lock = threading.Lock()
+_digits_users = 0
+_digits_saved = 0
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    global _digits_users, _digits_saved
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    with _digits_lock:
+        if _digits_users == 0:
+            _digits_saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _digits_users += 1
+    try:
+        yield
+    finally:
+        with _digits_lock:
+            _digits_users -= 1
+            if _digits_users == 0:
+                sys.set_int_max_str_digits(_digits_saved)
+
+
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Exact values may run past Python's int-string digit limit, so the limit
+    is lifted while the command runs and restored when the last concurrent
+    command returns. The limit is process-wide: other threads run without it
+    for that time.
+    """
+    with _no_digit_limit():
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -26,15 +26,26 @@ The module provides:
   diagonal similarity transform, and the deformed conjugacy check for the
   shift pair.
 
-Maps are immutable apart from an internal adapted-basis cache whose entries
-are deterministic, so concurrent reads see values identical to a
-single-threaded run.
+The named constructors (``identity_map``, ``phi_q``, ``phi_delta``,
+``phi_q_prime``, ``compose``, and through them ``make_map`` and
+``map_from_json``) return one shared map per structural key: (kind, q,
+delta, check_degree), and for a composition (outer key, inner key,
+check_degree). A map is validated once, when first built, and its
+adapted-basis cache is shared with every later caller. The memo is a small
+LRU; two threads building the same key get the same map, and no thread
+sees a partly built one. ``fb_map`` (a user callable has no structural key)
+and ``DeformMap(...)`` itself always build a fresh map.
+
+Maps are immutable: assigning a public attribute raises AttributeError. The
+adapted-basis cache grows in place under its own lock with deterministic
+entries, so concurrent reads see values identical to a single-threaded run.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -136,6 +147,11 @@ class DeformMap:
     what allows diagonal nodes to pass through substitution unchanged.
     """
 
+    __slots__ = (
+        "kind", "label", "image_a", "image_b", "q", "delta", "relation_q",
+        "preserves_degree", "outer", "inner", "_key", "_basis", "_basis_lock",
+    )
+
     def __init__(
         self,
         kind: str,
@@ -161,10 +177,21 @@ class DeformMap:
         self.preserves_degree = preserves_degree
         self.outer = outer
         self.inner = inner
+        self._key = None  # set by _shared on the one instance of a named map
         self._basis = [Poly.one()]
         self._basis_lock = threading.Lock()
         if check_degree:
             self._validate(check_degree)
+
+    def __setattr__(self, name, value):
+        # public attributes are set once, in __init__; the private basis
+        # cache, its lock and the memo key stay writable
+        if not name.startswith("_") and hasattr(self, name):
+            raise AttributeError("DeformMap is immutable; cannot set %r" % name)
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError("DeformMap is immutable; cannot delete %r" % name)
 
     @property
     def is_ccr(self) -> bool:
@@ -273,9 +300,45 @@ class DeformMap:
         return "DeformMap(%s)" % self.label
 
 
+# Named maps are shared: one validated instance per structural key, kept in
+# a small LRU so a process that sweeps many (q, delta) holds few bases. 16 is
+# twice the largest working set, the 8 maps of one `verify all`.
+_MEMO_SIZE = 16
+_memo: "OrderedDict[tuple, DeformMap]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _shared(key: Optional[tuple], build: Callable[[], DeformMap]) -> DeformMap:
+    """The one map for key, made by build() and validated on first use; a
+    hit does no work beyond the lookup, and key None always builds afresh.
+
+    The build runs outside the lock (it may build other shared maps); a map
+    is published only once complete, and racing builders all return the
+    first one published.
+    """
+    if key is None:
+        return build()
+    with _memo_lock:
+        m = _memo.get(key)
+        if m is not None:
+            _memo.move_to_end(key)
+            return m
+    m = build()
+    m._key = key
+    with _memo_lock:
+        m = _memo.setdefault(key, m)
+        _memo.move_to_end(key)
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return m
+
+
 def identity_map() -> DeformMap:
-    return DeformMap(
-        "identity", "identity", DERIV, COORD, preserves_degree=True, check_degree=8
+    return _shared(
+        ("identity", None, None, 8),
+        lambda: DeformMap(
+            "identity", "identity", DERIV, COORD, preserves_degree=True, check_degree=8
+        ),
     )
 
 
@@ -288,7 +351,8 @@ def fb_map(
 ) -> DeformMap:
     """The general family a -> f(B)^(-1) a, b -> b f(B), for f nonzero on
     positive integers. The degree operator is preserved exactly, so these
-    maps commute with all diagonal bookkeeping."""
+    maps commute with all diagonal bookkeeping. f has no structural key, so
+    every call builds and validates a fresh map."""
     diag = DiagFn("f(B)", lambda n: f(n + 1))
     return DeformMap(
         "fb:" + name,
@@ -304,14 +368,17 @@ def fb_map(
 def phi_q(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
     """The Jackson map: a -> [[B]]^(-1) a, b -> b [[B]]."""
     ctx = q if isinstance(q, QContext) else QContext(q)
-    return DeformMap(
-        "phi_q",
-        "phi_q[%s]" % ctx.q,
-        dq_expr(ctx),
-        xq_expr(ctx),
-        q=ctx.q,
-        preserves_degree=True,
-        check_degree=check_degree,
+    return _shared(
+        ("phi_q", ctx.q, None, check_degree),
+        lambda: DeformMap(
+            "phi_q",
+            "phi_q[%s]" % ctx.q,
+            dq_expr(ctx),
+            xq_expr(ctx),
+            q=ctx.q,
+            preserves_degree=True,
+            check_degree=check_degree,
+        ),
     )
 
 
@@ -321,14 +388,17 @@ def phi_delta(delta, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
     delta = 0 is the undeformed limit and yields the identity images.
     """
     delta = rational(delta)
-    return DeformMap(
-        "phi_delta",
-        "phi_delta[%s]" % delta,
-        a_delta_expr(delta),
-        b_delta_expr(delta),
-        delta=delta,
-        preserves_degree=(delta == 0),
-        check_degree=check_degree,
+    return _shared(
+        ("phi_delta", None, delta, check_degree),
+        lambda: DeformMap(
+            "phi_delta",
+            "phi_delta[%s]" % delta,
+            a_delta_expr(delta),
+            b_delta_expr(delta),
+            delta=delta,
+            preserves_degree=(delta == 0),
+            check_degree=check_degree,
+        ),
     )
 
 
@@ -339,14 +409,17 @@ def phi_q_prime(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
     rather than the plain commutation relation.
     """
     ctx = q if isinstance(q, QContext) else QContext(q)
-    return DeformMap(
-        "phi_q_prime",
-        "phi_q_prime[%s]" % ctx.q,
-        DERIV,
-        op_prod(COORD, DiagInv(dbracket_diag(ctx, 1))),
-        q=ctx.q,
-        relation_q=ctx.q,
-        check_degree=check_degree,
+    return _shared(
+        ("phi_q_prime", ctx.q, None, check_degree),
+        lambda: DeformMap(
+            "phi_q_prime",
+            "phi_q_prime[%s]" % ctx.q,
+            DERIV,
+            op_prod(COORD, DiagInv(dbracket_diag(ctx, 1))),
+            q=ctx.q,
+            relation_q=ctx.q,
+            check_degree=check_degree,
+        ),
     )
 
 
@@ -356,23 +429,27 @@ def compose(
     """Generator substitution: the composed image of g is outer's image of
     inner's image expression. The outer map must preserve the CCR (and the
     counit), since functions of the degree operator are pushed through it
-    spectrally."""
+    spectrally. Shared when both factors are; otherwise built fresh."""
     if not outer.is_ccr:
         raise UnsupportedCompositionError(
             "outer map %s does not preserve the CCR" % outer.label
         )
-    return DeformMap(
-        "compose",
-        "%s.%s" % (outer.label, inner.label),
-        outer.image(inner.image_a),
-        outer.image(inner.image_b),
-        q=outer.q if outer.q is not None else inner.q,
-        delta=outer.delta if outer.delta is not None else inner.delta,
-        relation_q=inner.relation_q,
-        preserves_degree=outer.preserves_degree and inner.preserves_degree,
-        outer=outer,
-        inner=inner,
-        check_degree=check_degree,
+    shared = outer._key is not None and inner._key is not None
+    return _shared(
+        (outer._key, inner._key, check_degree) if shared else None,
+        lambda: DeformMap(
+            "compose",
+            "%s.%s" % (outer.label, inner.label),
+            outer.image(inner.image_a),
+            outer.image(inner.image_b),
+            q=outer.q if outer.q is not None else inner.q,
+            delta=outer.delta if outer.delta is not None else inner.delta,
+            relation_q=inner.relation_q,
+            preserves_degree=outer.preserves_degree and inner.preserves_degree,
+            outer=outer,
+            inner=inner,
+            check_degree=check_degree,
+        ),
     )
 
 

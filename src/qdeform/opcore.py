@@ -139,7 +139,8 @@ class DiagInv(Op):
 
 @dataclass(frozen=True, slots=True)
 class ExpOp(Op):
-    """Operator exponential, evaluated as a terminating power series."""
+    """Operator exponential: exp(h d) is the Taylor shift p(x) -> p(x + h);
+    any other argument is evaluated as a terminating power series."""
 
     arg: "OpExpr"
 
@@ -268,6 +269,9 @@ def _apply(e, p, D, trunc):
     if isinstance(e, BasisDiag):
         return _basis_apply(e, p, invert=False)
     if isinstance(e, ExpOp):
+        h = _shift_step(e.arg)
+        if h is not None:
+            return p.shift(h)  # Taylor: exp(h d) p(x) = p(x + h)
         acc = p
         term = p
         k = 0
@@ -288,6 +292,15 @@ def _apply(e, p, D, trunc):
             acc = acc + term
         return acc
     raise TypeError("not an operator expression: %r" % (e,))
+
+
+def _shift_step(arg):
+    """h when arg is h*d (h = 1 for d itself), else None."""
+    if isinstance(arg, Deriv):
+        return Fraction(1)
+    if isinstance(arg, Scaled) and isinstance(arg.op, Deriv):
+        return arg.c
+    return None
 
 
 def _divisor(diag, n: int) -> Fraction:

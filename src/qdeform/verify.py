@@ -61,7 +61,10 @@ class Check:
     detail: str = ""
 
 
-def _random_poly(rng: random.Random, max_degree: int) -> Poly:
+def random_poly(rng: random.Random, max_degree: int) -> Poly:
+    """Coefficients a/b (|a| <= 9, 1 <= b <= 6) for x^0..x^n, with n drawn
+    from 0..max_degree. The seeded suites below depend on this exact
+    sequence of draws."""
     return Poly(
         [
             Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -125,11 +128,11 @@ def suite_jackson(ctx: QContext, delta, D: int):
     qnB = qnum_diag(ctx, 1)
     mq_inverts = all(
         quantum_average(apply(qnB, p, D), ctx) == p
-        for p in (_random_poly(rng, max(1, D - 1)) for _ in range(10))
+        for p in (random_poly(rng, max(1, D - 1)) for _ in range(10))
     )
     integ = all(
         apply(dq, jackson_integral(p, ctx), D) == p
-        for p in (_random_poly(rng, max(1, D - 2)) for _ in range(10))
+        for p in (random_poly(rng, max(1, D - 2)) for _ in range(10))
     )
     return [
         Check("Dq S = 1", realize_exact(op_prod(dq, s), D).is_identity()),
@@ -150,7 +153,7 @@ def suite_jackson(ctx: QContext, delta, D: int):
 def suite_rolle(ctx: QContext, delta, D: int, count: int = 30):
     rng = random.Random(_SEED)
     ok = all(
-        rolle_check(_random_poly(rng, max(1, min(12, D - 1))), ctx, D) for _ in range(count)
+        rolle_check(random_poly(rng, max(1, min(12, D - 1))), ctx, D) for _ in range(count)
     )
     return [Check("quantum Rolle identity on %d random polynomials" % count, ok)]
 
@@ -173,7 +176,7 @@ def suite_intertwine(ctx: QContext, delta, D: int, count: int = 10):
     for mname, m in maps:
         ok = True
         for _ in range(count):
-            f = _random_poly(rng, max(1, D - 3))
+            f = random_poly(rng, max(1, D - 3))
             for _, g in words:
                 ok = ok and intertwine_check(g, f, m, D)
         checks.append(Check("intertwining for %s" % mname, ok))
@@ -265,15 +268,25 @@ SUITES = {
 }
 
 
+# The least D at which a suite's random inputs and fixed basis indices fit
+# the truncation; suites not listed need D >= 0.
+MIN_DEGREE = {"jackson": 2, "rolle": 1, "intertwine": 2, "composition": 8}
+
+
 def run_suite(name: str, ctx: QContext, delta, D: int):
-    """Run one suite (or 'all'); returns a list of Check results."""
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](ctx, delta, D))
-        return out
-    if name not in SUITES:
+    """Run one suite (or 'all'); returns a list of Check results.
+
+    A D below the suite's minimum (the largest one for 'all') is a
+    ValueError that names the minimum, raised before any check runs."""
+    if name != "all" and name not in SUITES:
         raise ValueError(
             "unknown suite %r (choose from %s)" % (name, ", ".join([*SUITES, "all"]))
         )
-    return SUITES[name](ctx, delta, D)
+    names = list(SUITES) if name == "all" else [name]
+    least = max(MIN_DEGREE.get(key, 0) for key in names)
+    if D < least:
+        raise ValueError("suite %r needs degree D >= %d, got %d" % (name, least, D))
+    out = []
+    for key in names:
+        out.extend(SUITES[key](ctx, delta, D))
+    return out

@@ -24,11 +24,6 @@ monomial_polys = coeff_lists.map(Poly)
 q_values = st.sampled_from(Q_GRID)
 
 
-def random_poly(rng: random.Random, max_degree: int, zero_ok: bool = True) -> Poly:
-    n = rng.randint(0 if zero_ok else 1, max_degree + 1)
-    return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)])
-
-
 @pytest.fixture
 def rng():
     return random.Random(20010331)

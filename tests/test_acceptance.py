@@ -51,6 +51,7 @@ from qdeform.opcore import (
 )
 from qdeform.poly import FallingFactorial, Poly
 from qdeform.qnum import QContext
+from qdeform.verify import random_poly
 
 Q_GRID = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(9, 10))
 DELTA_GRID = (Fraction(1), Fraction(1, 2))
@@ -67,10 +68,7 @@ def report(number, description, ok):
 
 def rand_polys(count, max_degree, seed=20010331):
     rng = random.Random(seed)
-    return [
-        Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, max_degree + 1))])
-        for _ in range(count)
-    ]
+    return [random_poly(rng, max_degree) for _ in range(count)]
 
 
 def test_criterion_01_ccr_preservation():
@@ -223,8 +221,8 @@ def test_criterion_11_hahn_suite():
     for params in paramsets:
         tp = build(HahnVariant.THREE_POINT, params)
         ab = build(HahnVariant.ABSTRACT, params)
-        for _ in range(10):
-            p = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(11)])
+        # random inputs of degree <= 10, plus x^10 so the top degree is always hit
+        for p in [random_poly(rng, 10) for _ in range(10)] + [Poly.monomial(10)]:
             ok &= apply(tp, p, 14) == apply(ab, p, 14)  # (a)
         lam = [eigenvalue(params, k) for k in range(kmax + 1)]
         cont_lin = realize_exact(build(HahnVariant.CONTINUOUS, params), D)

@@ -233,6 +233,104 @@ class TestLargeIndices:
         assert lines[-1] == "100,%s" % lam
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
+)
+class TestHugeExactValues:
+    """Exact values whose numerators run past the interpreter's default
+    int-string limit (4300 digits) are printed in full."""
+
+    def _lifted(self):
+        # expected strings are built only after main() has returned, so the
+        # command itself runs under the caller's default limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        return limit
+
+    def test_basis_past_the_digit_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "basis", "phi_q", "150", "--q", "9/10", "--degree", "150")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == before  # restored for library callers
+        limit = self._lifted()
+        try:
+            lines = out.splitlines()
+            assert len(lines) == 151
+            last = QContext("9/10").dbracket_factorial(150)
+            assert len(str(last.numerator)) > 4300
+            assert lines[-1] == "|150> = %s*x^150" % last
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_apply_past_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "apply", "qn(3000*B)", "x", "--q", "9/10", "--degree", "2")
+        assert (code, err) == (0, "")
+        limit = self._lifted()
+        try:
+            assert out == "%s*x\n" % QContext("9/10").qnumber(6000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+    def test_overlapping_commands_share_the_lift(self, monkeypatch):
+        # command b starts while a runs and ends after it: b must still run
+        # without the limit when a returns, and the caller's own limit must
+        # be back once both have returned
+        import threading
+
+        import qdeform.cli
+
+        a_started, b_started, a_returned = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def command(argv):
+            if argv == ["a"]:
+                a_started.set()
+                b_started.wait(30)
+            else:
+                b_started.set()
+                a_returned.wait(30)
+            seen[argv[0]] = sys.get_int_max_str_digits()
+            return 0
+
+        def run_a():
+            main(["a"])
+            a_returned.set()
+
+        monkeypatch.setattr(qdeform.cli, "_run", command)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            a = threading.Thread(target=run_a)
+            a.start()
+            a_started.wait(30)
+            b = threading.Thread(target=main, args=(["b"],))
+            b.start()
+            a.join(30)
+            b.join(30)
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert not a.is_alive() and not b.is_alive()
+        assert seen == {"a": 0, "b": 0}
+        assert after == 5000
+
+
+class TestVerifyMinimumDegree:
+    def test_minimum_degree_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--q", "1/2", "--degree", "8")
+        assert code == 0
+        assert out.splitlines()[-1].endswith("identities hold")
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("suite,least", [("all", 8), ("composition", 8), ("jackson", 2)])
+    def test_below_minimum_is_usage_error(self, capsys, suite, least):
+        code, out, err = run(capsys, "verify", suite, "--q", "1/2", "--degree", str(least - 1))
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite %r needs degree D >= %d, got %d\n" % (suite, least, least - 1)
+
+
 class TestRationalFlags:
     @pytest.mark.parametrize(
         "argv",

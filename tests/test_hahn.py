@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdeform.hahn
-from conftest import random_poly
 from qdeform.errors import DegenerateSpectrumError, MathError
 from qdeform.hahn import (
     HahnParams,
@@ -24,6 +23,7 @@ from qdeform.maps import b_projection, phi_q
 from qdeform.opcore import apply, realize_exact
 from qdeform.poly import FallingFactorial, Poly
 from qdeform.qnum import QContext
+from qdeform.verify import random_poly
 
 PARAMS = HahnParams(0, 0, 5)
 PARAM_SETS = (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DELTA_GRID, Q_GRID, random_poly, small_rationals
+from conftest import DELTA_GRID, Q_GRID, small_rationals
 from qdeform.errors import MapConstructionError, UnsupportedBasisOperationError
 from qdeform.maps import (
     DeformMap,
@@ -51,6 +51,7 @@ from qdeform.opcore import (
 )
 from qdeform.poly import Poly
 from qdeform.qnum import QContext, stirling_first
+from qdeform.verify import random_poly
 
 
 def ctx_for(q):
@@ -328,6 +329,7 @@ class TestJacksonCalculus:
             for _ in range(30):
                 p = random_poly(rng, 10)
                 assert apply(dq, jackson_integral(p, ctx), 12) == p
+            assert jackson_integral(Poly.zero(), ctx).is_zero
 
     def test_integral_is_the_geometric_series(self):
         # Partial sums of (1-q) sum_k q^k x f(q^k x) against the closed form
@@ -523,3 +525,103 @@ class TestConcurrency:
         assert not errors
         for order_result in results.values():
             assert sorted(order_result, key=lambda p: p.degree) == reference
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty map memo for one test, so its builds neither see nor evict
+    the maps other tests share."""
+    from collections import OrderedDict
+
+    from qdeform import maps
+
+    monkeypatch.setattr(maps, "_memo", OrderedDict())
+    return maps
+
+
+class TestSharedMaps:
+    def test_public_attributes_are_read_only(self):
+        m = phi_q(Fraction(1, 2))
+        for name, value in (("q", Fraction(1, 3)), ("label", "x"), ("image_a", DERIV),
+                            ("kind", "phi_delta"), ("outer", None)):
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            del m.image_b
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m.q == Fraction(1, 2) and m.label == "phi_q[1/2]"
+
+    def test_named_constructors_share_one_instance(self):
+        half = Fraction(1, 2)
+        assert phi_q(half) is phi_q(QContext(half))
+        assert phi_q(half) is make_map("phi_q", q="1/2")
+        assert phi_delta(1) is phi_delta(Fraction(1))
+        assert phi_q_prime(half) is phi_q_prime(QContext(half))
+        assert identity_map() is make_map("identity")
+        assert compose(phi_q(half), phi_delta(1)) is make_map("phi_q_delta", q=half, delta=1)
+        m = compose(phi_delta(1), phi_q(half))
+        assert map_from_json(m.to_json()) is m
+        # check_degree is part of the key
+        assert phi_q(half, check_degree=8) is not phi_q(half)
+
+    def test_unkeyed_maps_are_fresh(self):
+        f = lambda n: Fraction(n + 1)
+        assert fb_map("f", f) is not fb_map("f", f)
+        direct = DeformMap("identity", "identity", DERIV, COORD, check_degree=8)
+        assert direct is not identity_map()
+        assert compose(phi_q(Fraction(1, 2)), direct) is not compose(phi_q(Fraction(1, 2)), direct)
+
+    def test_validated_once(self, monkeypatch, fresh_memo):
+        calls = []
+        validate = DeformMap._validate
+        monkeypatch.setattr(DeformMap, "_validate", lambda self, D: calls.append(self.label) or validate(self, D))
+        q, delta = Fraction(5, 11), Fraction(3, 7)
+        first = compose(phi_delta(delta), phi_q(q))
+        assert calls == ["phi_delta[3/7]", "phi_q[5/11]", "phi_delta[3/7].phi_q[5/11]"]
+        # a hit does no substitution either
+        images = []
+        image = DeformMap.image
+        monkeypatch.setattr(DeformMap, "image", lambda self, e: images.append(e) or image(self, e))
+        assert compose(phi_delta(delta), phi_q(q)) is first
+        assert len(calls) == 3 and images == []
+
+    def test_memo_is_bounded(self, fresh_memo):
+        maps = fresh_memo
+        built = [phi_delta(Fraction(1, n), check_degree=2) for n in range(2, 2 + 2 * maps._MEMO_SIZE)]
+        assert len(maps._memo) <= maps._MEMO_SIZE
+        assert phi_delta(Fraction(1, 2), check_degree=2) is not built[0]  # evicted, rebuilt
+        assert phi_delta(Fraction(1, 2), check_degree=2).label == built[0].label
+
+    def test_concurrent_builds_agree(self, fresh_memo):
+        import sys
+        import threading
+
+        q, delta = Fraction(7, 13), Fraction(2, 9)
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def worker(i):
+            try:
+                barrier.wait(timeout=30)
+                m = compose(phi_delta(delta), phi_q(q))
+                results[i] = (m, [m.basis_element(n) for n in range(13)])
+            except Exception as exc:  # pragma: no cover - diagnostic only
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the builders as finely as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len({id(m) for m, _ in results}) == 1
+        reference = results[0][1]
+        assert all(basis == reference for _, basis in results)
+        assert reference[2] == (Poly.x() * (Poly.x() - Poly([delta]))).scale(Fraction(2) / (1 + q))

@@ -47,6 +47,14 @@ def ctx_for(q):
     return QContext(q)
 
 
+def shifts_by(image: Poly, p: Poly, h) -> bool:
+    """Evaluation oracle for exp(h d): image(t) == p(t + h) at n + 1 distinct
+    rational points, n the larger degree, which fixes the polynomial exactly."""
+    n = max(image.degree, p.degree)
+    points = [Fraction(2 * k - n, 3) for k in range(n + 1)]
+    return all(image.evaluate(t) == p.evaluate(t + h) for t in points)
+
+
 class TestApply:
     def test_derivative(self):
         assert apply(DERIV, Poly.monomial(3), 8) == Poly.monomial(2, 3)
@@ -61,7 +69,24 @@ class TestApply:
         e = ExpOp(scaled(-1, DERIV))
         p = Poly.monomial(2)
         assert apply(e, p, 8) == Poly([1, -2, 1])
-        assert apply(e, p, 8) == p.shift(-1)
+        assert shifts_by(apply(e, p, 8), p, -1)
+
+    def test_exp_series_path_matches_evaluation(self):
+        # h*(d+d) is not of the form h*d, so it takes the power-series path
+        h = Fraction(-3, 5)
+        p = Poly([Fraction(1, 3), -2, 0, Fraction(5, 7), 1])
+        assert shifts_by(apply(ExpOp(scaled(h, op_sum(DERIV, DERIV))), p, 8), p, 2 * h)
+        assert shifts_by(apply(ExpOp(scaled(h, DERIV)), p, 8), p, h)
+        assert shifts_by(apply(ExpOp(DERIV), p, 8), p, 1)
+
+    def test_exp_oracle_rejects_wrong_step(self):
+        # negative control: the evaluation oracle must catch a perturbed h
+        h = Fraction(1, 2)
+        p = Poly([1, -1, 0, 2])
+        for e in (ExpOp(scaled(h, DERIV)), ExpOp(scaled(h / 2, op_sum(DERIV, DERIV)))):
+            image = apply(e, p, 8)
+            assert shifts_by(image, p, h)
+            assert not shifts_by(image, p, h + Fraction(1, 7))
 
     def test_degree_operator(self):
         for n in range(6):
@@ -92,7 +117,7 @@ class TestExpTermination:
         # strictly lowering: at most deg(p)+1 nonzero terms
         p = Poly([1, 1, 1, 1])
         out = apply(ExpOp(scaled(Fraction(1, 2), DERIV)), p, 10)
-        assert out == p.shift(Fraction(1, 2))
+        assert shifts_by(out, p, Fraction(1, 2))
 
     def test_degree_preserving_raises(self):
         with pytest.raises(NonterminatingExponentialError):
@@ -160,7 +185,7 @@ class TestRealize:
         delta = Fraction(1, 3)
         lin = realize(ExpOp(scaled(-delta, DERIV)), 6)
         for n in range(7):
-            assert lin.column(n) == Poly.monomial(n).shift(-delta)
+            assert shifts_by(lin.column(n), Poly.monomial(n), -delta)
 
     def test_realize_exact_keeps_boundary(self):
         # x*d has a raising intermediate but exact results fit

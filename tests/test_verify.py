@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qdeform.qnum import QContext
-from qdeform.verify import SUITES, run_suite
+from qdeform.verify import MIN_DEGREE, SUITES, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +28,12 @@ def test_all_runs_every_suite(ctx):
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("bogus", QContext(Fraction(1, 2)), 1, 8)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_each_suite_at_its_minimum_degree(ctx, name):
+    least = MIN_DEGREE.get(name, 0)
+    checks = run_suite(name, ctx, Fraction(1, 2), least)
+    assert checks and all(c.ok for c in checks)
+    with pytest.raises(ValueError, match="needs degree D >= %d" % least):
+        run_suite(name, ctx, Fraction(1, 2), least - 1)
