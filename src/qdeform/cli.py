@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import threading
+import warnings
 
 from .errors import DslError, MathError
 from .hahn import HahnParams, HahnVariant, spectrum, table_rows
@@ -25,6 +26,7 @@ from . import dsl
 from .verify import SUITES, run_suite
 
 _MAP_KINDS = ("identity", "phi_q", "phi_delta", "phi_q_prime", "phi_q_delta", "phi_delta_q")
+_Q_MAPS = ("phi_q", "phi_q_prime", "phi_q_delta", "phi_delta_q")
 _NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
 
 
@@ -51,8 +53,23 @@ def _add_common(sub, *, delta_default=None):
     )
 
 
+# Recording warnings swaps process-wide state, so contexts are built one at a
+# time; a warning another thread raises in that short window is printed here.
+_warnings_lock = threading.Lock()
+
+
 def _context(args) -> "QContext | None":
-    return None if args.q is None else QContext(rational(args.q))
+    """The command's QContext, built once on first use (None without --q).
+    The library's warning for q outside (-1, 1) becomes one stderr line."""
+    if args.q is None:
+        return None
+    if getattr(args, "ctx", None) is None:
+        with _warnings_lock, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args.ctx = QContext(rational(args.q))
+        for w in caught:
+            print("warning: %s" % w.message, file=sys.stderr)
+    return args.ctx
 
 
 def _parse_expr(args, text):
@@ -129,6 +146,8 @@ def cmd_verify(args) -> int:
 
 def _make_map(args):
     q = rational(args.q) if args.q is not None else None
+    if args.map in _Q_MAPS:
+        q = _context(args)
     delta = rational(args.delta) if args.delta is not None else None
     return make_map(args.map, q=q, delta=delta)
 

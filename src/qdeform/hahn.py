@@ -268,7 +268,8 @@ def residual(
 
 def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
     """Compare realized diagonals against the closed-form spectra across
-    parameter sets and q values; reports per-check booleans."""
+    parameter sets and q values (rationals or QContexts); reports per-check
+    booleans."""
     entries = []
     for params in paramsets:
         lam = [eigenvalue(params, k) for k in range(kmax + 1)]
@@ -277,7 +278,7 @@ def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
             ("three-point-diagonal", HahnVariant.THREE_POINT, None, lam),
         ]
         for q in qs:
-            ctx = QContext(q)
+            ctx = q if isinstance(q, QContext) else QContext(q)
             lam_q = [q_eigenvalue(params, ctx, k) for k in range(kmax + 1)]
             cases.append(("q-deformed-diagonal", HahnVariant.Q_DEFORMED, ctx, lam))
             cases.append(("q-spectrum-diagonal", HahnVariant.Q_SPECTRUM, ctx, lam_q))

@@ -514,12 +514,7 @@ def b_projection(f: Poly, m: DeformMap, D: int) -> Poly:
         raise UnsupportedBasisOperationError("projection input must be monomial-basis")
     if f.degree > D:
         raise ValueError("series degree %d exceeds truncation %d" % (f.degree, D))
-    acc = Poly.zero()
-    for n, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        acc = acc + m.basis_element(n).scale(c)
-    return acc
+    return Poly._lincomb((c, m.basis_element(n)) for n, c in enumerate(f.coeffs) if c)
 
 
 def intertwine_check(G: OpExpr, f: Poly, m: DeformMap, D: int) -> bool:
@@ -538,17 +533,14 @@ def jackson_integral(p: Poly, ctx: QContext) -> Poly:
     """x^n -> x^(n+1)/{n+1}; the right inverse of the Jackson derivative."""
     if p.basis != MONOMIAL:
         raise UnsupportedBasisOperationError("Jackson integral needs monomial basis")
-    out = [Fraction(0)]
-    for n, c in enumerate(p.coeffs):
-        out.append(c / ctx.qnumber(n + 1))
-    return Poly(out)
+    return quantum_average(p, ctx)._times_x()
 
 
 def quantum_average(p: Poly, ctx: QContext) -> Poly:
     """x^n -> x^n/{n+1}; equals (1/x) S and inverts B."""
     if p.basis != MONOMIAL:
         raise UnsupportedBasisOperationError("quantum average needs monomial basis")
-    return Poly([c / ctx.qnumber(n + 1) for n, c in enumerate(p.coeffs)])
+    return p._diag(lambda n: ctx.qnumber(n + 1), invert=True)
 
 
 def rolle_check(f: Poly, ctx: QContext, D: int) -> bool:

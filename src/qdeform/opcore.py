@@ -230,15 +230,13 @@ def apply(e: OpExpr, p: Poly, D: int, *, allow_truncation: bool = False) -> Poly
 
 def _apply(e, p, D, trunc):
     if isinstance(e, Coord):
-        if p.is_zero:
-            return p
         if p.degree + 1 > D:
             if not trunc:
                 raise DegreeOverflowError(
                     "x raises degree %d past truncation %d" % (p.degree, D)
                 )
-            return Poly((0,) + p.coeffs).truncated(D)
-        return Poly((0,) + p.coeffs)
+            p = p.truncated(D - 1)
+        return p._times_x()
     if isinstance(e, Deriv):
         return p.derivative()
     if isinstance(e, Ident):
@@ -246,10 +244,12 @@ def _apply(e, p, D, trunc):
     if isinstance(e, Scaled):
         return _apply(e.op, p, D, trunc).scale(e.c)
     if isinstance(e, OpSum):
-        acc = Poly.zero()
-        for t in e.terms:
-            acc = acc + _apply(t, p, D, trunc)
-        return acc
+        return Poly._lincomb(
+            (t.c, _apply(t.op, p, D, trunc))
+            if isinstance(t, Scaled)
+            else (1, _apply(t, p, D, trunc))
+            for t in e.terms
+        )
     if isinstance(e, OpProd):
         out = p
         for f in reversed(e.factors):
@@ -261,11 +261,11 @@ def _apply(e, p, D, trunc):
             out = _apply(e.base, out, D, trunc)
         return out
     if isinstance(e, DiagFn):
-        return Poly([c * e.fn(n) if c else c for n, c in enumerate(p.coeffs)])
+        return p._diag(e.fn)
     if isinstance(e, DiagInv):
         if isinstance(e.inner, BasisDiag):
             return _basis_apply(e.inner, p, invert=True)
-        return Poly([c / _divisor(e.inner, n) if c else c for n, c in enumerate(p.coeffs)])
+        return p._diag(lambda n: _divisor(e.inner, n), invert=True)
     if isinstance(e, BasisDiag):
         return _basis_apply(e, p, invert=False)
     if isinstance(e, ExpOp):
@@ -328,12 +328,9 @@ def _basis_apply(bd: BasisDiag, p: Poly, *, invert: bool) -> Poly:
         c = rem.coefficient(n) / bn.coefficient(n)
         comps.append((n, c, bn))
         rem = rem - bn.scale(c)
-    acc = Poly.zero()
-    for n, c, bn in comps:
-        w = c / _divisor(bd, n) if invert else c * bd.fn(n)
-        if w:
-            acc = acc + bn.scale(w)
-    return acc
+    return Poly._lincomb(
+        (c / _divisor(bd, n) if invert else c * bd.fn(n), bn) for n, c, bn in comps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +460,11 @@ class LinOp:
             raise UnsupportedBasisOperationError("LinOp acts on monomial polynomials")
         if p.degree > self.D:
             raise ValueError("degree exceeds realization size")
-        acc = Poly.zero()
-        for n, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            col = self.columns[n]
-            if col is None:
+        coeffs = p.coeffs
+        for n, c in enumerate(coeffs):
+            if c and self.columns[n] is None:
                 raise DegreeOverflowError("column %d is overflow-marked" % n)
-            acc = acc + col.scale(c)
-        return acc
+        return Poly._lincomb(zip(coeffs, self.columns))
 
     def compose(self, other: "LinOp") -> "LinOp":
         """self after other; overflow marks propagate."""

@@ -57,7 +57,7 @@ class QContext:
     values.
     """
 
-    __slots__ = ("q", "_qnum", "_fact")
+    __slots__ = ("q", "_qnum", "_dbr", "_fact")
 
     def __init__(self, q):
         q = rational(q)
@@ -73,6 +73,7 @@ class QContext:
             )
         self.q = q
         self._qnum = (Fraction(0),)
+        self._dbr = (Fraction(1),)
         # ({n}!, [[n]]!) rebound as one pair so the two always agree in length
         self._fact = ((Fraction(1),), (Fraction(1),))
 
@@ -88,15 +89,29 @@ class QContext:
             t = self._qnum = tuple(grown)
         return t
 
+    def _dbrackets(self, n: int) -> tuple:
+        """The table [[0]]..[[n]] (at least), grown if needed."""
+        if n < 0:
+            raise ValueError("index %d is negative" % n)
+        t = self._dbr
+        if len(t) <= n:
+            qnum = self._qnums(n)
+            grown = list(t)
+            for k in range(len(grown), n + 1):
+                grown.append(k / qnum[k])
+            t = self._dbr = tuple(grown)
+        return t
+
     def _factorials(self, n: int) -> tuple:
         """The tables ({k}!, [[k]]!) for k = 0..n (at least), grown if needed."""
         qnum = self._qnums(n)
+        dbr = self._dbrackets(n)
         t = self._fact
         if len(t[0]) <= n:
             qfact, dbfact = list(t[0]), list(t[1])
             for k in range(len(qfact), n + 1):
                 qfact.append(qfact[-1] * qnum[k])
-                dbfact.append(dbfact[-1] * (k / qnum[k]))
+                dbfact.append(dbfact[-1] * dbr[k])
             t = self._fact = (tuple(qfact), tuple(dbfact))
         return t
 
@@ -106,8 +121,7 @@ class QContext:
 
     def dbracket(self, n: int) -> Fraction:
         """[[n]] = n/{n}, with [[0]] = 1."""
-        qn = self._qnums(n)[n]
-        return Fraction(1) if n == 0 else n / qn
+        return self._dbrackets(n)[n]
 
     def qfactorial(self, n: int) -> Fraction:
         """{n}! = {1}{2}...{n}, empty product at n = 0."""

@@ -245,7 +245,7 @@ def suite_composition(ctx: QContext, delta, D: int):
 
 def suite_hahn(ctx: QContext, delta, D: int):
     params = [HahnParams(0, 0, 5), HahnParams(Fraction(1, 2), Fraction(1, 3), 7)]
-    report = isospectral_check(params, [ctx.q], min(8, D), D)
+    report = isospectral_check(params, [ctx], min(8, D), D)
     return [
         Check(
             "%s %s%s" % (e["check"], e["params"], " q=" + e["q"] if "q" in e else ""),

@@ -27,3 +27,15 @@ q_values = st.sampled_from(Q_GRID)
 @pytest.fixture
 def rng():
     return random.Random(20010331)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty map memo for one test, so its builds neither see nor evict
+    the maps other tests share."""
+    from collections import OrderedDict
+
+    from qdeform import maps
+
+    monkeypatch.setattr(maps, "_memo", OrderedDict())
+    return maps

@@ -380,6 +380,51 @@ class TestSpectrumGate:
         assert "closed form" in err
 
 
+class TestRangeWarning:
+    """q outside (-1, 1): one stderr line per command, from one context."""
+
+    LINE = (
+        "warning: q = 3/2 lies outside -1 < q < 1; identities remain exact but "
+        "the Jackson-integral series has no convergent reading\n"
+    )
+
+    def test_one_line_per_command_in_process(self, capsys):
+        for _ in range(2):
+            code, out, err = run(capsys, "apply", "Dq", "x^2", "--q", "3/2")
+            assert (code, out, err) == (0, "5/2*x\n", self.LINE)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "phi_delta_q", "2", "--q=3/2", "--delta=1"],
+            ["verify", "all", "--q=3/2", "--degree", "8"],
+            ["hahn", "q_spectrum", "--alpha=0", "--beta=0", "--N=5", "--q=3/2", "--kmax", "2"],
+        ],
+        ids=["basis", "verify", "hahn"],
+    )
+    def test_every_command_kind(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, self.LINE)
+
+    def test_context_built_once(self, capsys, monkeypatch):
+        import qdeform.cli
+
+        built = []
+        monkeypatch.setattr(qdeform.cli, "QContext", lambda q: built.append(q) or QContext(q))
+        code, out, _ = run(capsys, "apply", "Dq*xq", "x", "--q", "1/2")
+        assert (code, out) == (0, "2*x\n")
+        assert built == [Fraction(1, 2)]
+
+    def test_library_keeps_its_warning(self, capsys):
+        run(capsys, "apply", "Dq", "x^2", "--q", "3/2")
+        with pytest.warns(UserWarning, match="q = 3/2 lies outside"):
+            QContext(Fraction(3, 2))
+
+    def test_unused_q_is_not_built(self, capsys):
+        code, _, err = run(capsys, "basis", "phi_delta", "2", "--delta=1", "--q=3/2")
+        assert (code, err) == (0, "")
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         argv = ["verify", "ccr", "--q", "1/2", "--degree", "10"]

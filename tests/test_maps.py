@@ -527,18 +527,6 @@ class TestConcurrency:
             assert sorted(order_result, key=lambda p: p.degree) == reference
 
 
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty map memo for one test, so its builds neither see nor evict
-    the maps other tests share."""
-    from collections import OrderedDict
-
-    from qdeform import maps
-
-    monkeypatch.setattr(maps, "_memo", OrderedDict())
-    return maps
-
-
 class TestSharedMaps:
     def test_public_attributes_are_read_only(self):
         m = phi_q(Fraction(1, 2))

@@ -1,11 +1,16 @@
+import functools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import monomial_polys, small_rationals
 from qdeform.errors import BasisMismatchError, UnsupportedBasisOperationError
-from qdeform.poly import FallingFactorial, Poly
+from qdeform.maps import compose, phi_delta, phi_q
+from qdeform.poly import MONOMIAL, FallingFactorial, Poly
+from qdeform.qnum import stirling_first, stirling_second
 from qdeform.verify import random_poly
 
 
@@ -190,3 +195,195 @@ class TestTextAndJson:
         data = p.to_json()
         assert data["basis"] == {"falling": {"delta": "1/2"}}
         assert Poly.from_json(data) == p
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracles: the integer kernels against a per-coefficient Fraction
+# reference of the same algorithms, on small and on large denominators.
+# ---------------------------------------------------------------------------
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_scale(a, c):
+    return ref_trim(c * x for x in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_shift(a, h):
+    out = [Fraction(0)] * len(a)
+    for n, c in enumerate(a):
+        for k in range(n + 1):
+            out[k] += c * math.comb(n, k) * h ** (n - k)
+    return ref_trim(out)
+
+
+def ref_qscale(a, q):
+    return ref_trim(c * q**n for n, c in enumerate(a))
+
+
+def ref_derivative(a):
+    return ref_trim(n * c for n, c in enumerate(a))[1:] if len(a) > 1 else []
+
+
+def ref_restep(a, stirling, delta):
+    out = [Fraction(0)] * len(a)
+    for n, c in enumerate(a):
+        for k in range(n + 1):
+            out[k] += c * stirling(n, k) * delta ** (n - k)
+    return ref_trim(out)
+
+
+def ref_evaluate(a, t, delta=None):
+    acc, prod = Fraction(0), Fraction(1)
+    for n, c in enumerate(a):
+        if n:
+            prod *= t if delta is None else t - (n - 1) * delta
+        acc += c * prod
+    return acc
+
+
+def assert_canonical(p):
+    """The stored pair is canonical and the public view is lowest-terms."""
+    num, den = p._num, p._den
+    assert den > 0
+    assert math.gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+    if not num:
+        assert den == 1
+    assert all(isinstance(c, Fraction) for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+def assert_matches(p, ref_coeffs, basis=None):
+    assert_canonical(p)
+    assert list(p.coeffs) == ref_trim(ref_coeffs)
+    if basis is not None:
+        assert p.basis == basis
+
+
+# Negative numerators and denominators up to 10^12.
+big_rationals = st.builds(
+    Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**12)
+)
+nonzero_big_rationals = big_rationals.filter(bool)
+
+
+@functools.lru_cache(maxsize=None)
+def _adapted(n):
+    """|n> of phi_delta.phi_q at q = 9/10, delta = 1/2: coefficients with
+    denominators of hundreds of bits."""
+    return compose(phi_delta(Fraction(1, 2)), phi_q(Fraction(9, 10))).basis_element(n)
+
+
+kernel_polys = st.one_of(
+    monomial_polys,
+    st.lists(big_rationals, max_size=9).map(Poly),
+    st.integers(0, 24).map(_adapted),
+)
+
+
+class TestKernelOracles:
+    @given(p=kernel_polys, r=kernel_polys)
+    def test_add_sub_neg(self, p, r):
+        a, b = list(p.coeffs), list(r.coeffs)
+        assert_matches(p + r, ref_add(a, b))
+        assert_matches(p - r, ref_add(a, b, -1))
+        assert_matches(-p, [-c for c in a])
+        assert_matches(p - p, [])
+
+    @given(p=kernel_polys, c=st.one_of(big_rationals, st.sampled_from([0, -1, Fraction(-7, 3)])))
+    def test_scale(self, p, c):
+        assert_matches(p.scale(c), ref_scale(p.coeffs, c))
+        assert_matches(c * p, ref_scale(p.coeffs, c))
+
+    @given(p=kernel_polys, r=kernel_polys)
+    def test_mul(self, p, r):
+        assert_matches(p * r, ref_mul(p.coeffs, r.coeffs))
+
+    @given(p=kernel_polys, h=big_rationals)
+    def test_shift(self, p, h):
+        assert_matches(p.shift(h), ref_shift(p.coeffs, h))
+
+    @given(p=kernel_polys, q=big_rationals)
+    def test_qscale(self, p, q):
+        assert_matches(p.qscale(q), ref_qscale(p.coeffs, q))
+
+    @given(p=kernel_polys, degree=st.integers(-1, 12))
+    def test_derivative_and_truncated(self, p, degree):
+        assert_matches(p.derivative(), ref_derivative(p.coeffs))
+        assert_matches(p.truncated(degree), p.coeffs[: degree + 1])
+
+    @given(p=kernel_polys, delta=st.one_of(big_rationals, st.just(Fraction(0))))
+    def test_basis_conversions(self, p, delta):
+        tag = FallingFactorial(delta)
+        down = p.to_falling(delta)
+        assert_matches(down, ref_restep(p.coeffs, stirling_second, delta), tag)
+        up = Poly(p.coeffs, tag).to_monomial()
+        assert_matches(up, ref_restep(p.coeffs, stirling_first, delta), MONOMIAL)
+
+    @given(p=kernel_polys, t=big_rationals, delta=big_rationals)
+    def test_evaluate(self, p, t, delta):
+        assert p(t) == ref_evaluate(p.coeffs, t)
+        assert Poly(p.coeffs, FallingFactorial(delta))(t) == ref_evaluate(p.coeffs, t, delta)
+
+    @given(p=kernel_polys, r=kernel_polys, c=nonzero_big_rationals)
+    def test_same_polynomial_two_ways(self, p, r, c):
+        ways = [
+            Poly(list(p.coeffs) + [0, 0]),
+            (p + r) - r,
+            p.scale(c).scale(1 / c),
+            Poly.from_json(p.to_json()),
+        ]
+        for w in ways:
+            assert_canonical(w)
+            assert w == p and hash(w) == hash(p)
+
+    def test_adapted_basis_is_canonical(self):
+        for n in range(25):
+            assert_canonical(_adapted(n))
+        # the denominators really are large
+        assert _adapted(24)._den.bit_length() > 200
+
+
+class TestKernelOracleControls:
+    """The oracle comparison above must be able to fail."""
+
+    def test_wrong_shift_direction_is_caught(self):
+        p, h = _adapted(7), Fraction(-5, 12)
+        assert_matches(p.shift(h), ref_shift(p.coeffs, h))
+        with pytest.raises(AssertionError):
+            assert_matches(p.shift(h), ref_shift(p.coeffs, -h))
+
+    def test_skipped_normalization_is_caught(self, monkeypatch):
+        def trim_only(num, den):
+            while num and not num[-1]:
+                num.pop()
+            return (num, den) if num else ([], 1)
+
+        p, r = Poly([Fraction(1, 6), Fraction(1, 3)]), Poly([Fraction(1, 3), Fraction(1, 6)])
+        assert_matches(p + r, [Fraction(1, 2), Fraction(1, 2)])
+        monkeypatch.setattr(Poly, "_canonical", staticmethod(trim_only))
+        with pytest.raises(AssertionError):
+            assert_matches(p + r, [Fraction(1, 2), Fraction(1, 2)])
+        assert p + r != Poly([Fraction(1, 2), Fraction(1, 2)])

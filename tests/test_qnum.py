@@ -186,6 +186,18 @@ class TestQContext:
         assert ctx.qfactorial(70) == ctx.qfactorial(69) * ctx.qnumber(70)
         assert ctx.dbracket_factorial(3) == 1 * Fraction(4, 3) * Fraction(12, 7)
 
+    def test_dbracket_is_tabulated(self):
+        ctx = QContext(Fraction(9, 10))
+        first = [ctx.dbracket(n) for n in range(30)]
+        # a second lookup returns the stored value instead of dividing again
+        assert all(ctx.dbracket(n) is v for n, v in enumerate(first))
+        assert first[0] == 1
+        assert all(v == n / qnumber_oracle(Fraction(9, 10), n) for n, v in enumerate(first) if n)
+        prod = Fraction(1)
+        for n in range(30):
+            prod *= first[n]
+            assert ctx.dbracket_factorial(n) == prod
+
     def test_growth_is_safe_across_threads(self):
         q = Fraction(9, 10)
         ctx = QContext(q)
