@@ -15,7 +15,6 @@ from .poly import FallingFactorial, MONOMIAL, Monomial, Poly
 from .opcore import (
     A_DIAG,
     B_DIAG,
-    BasisDiag,
     COORD,
     DERIV,
     DiagFn,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -73,14 +74,14 @@ def _context(args) -> "QContext | None":
 
 
 def _parse_expr(args, text):
-    return dsl.parse(text, ctx=_context(args), delta=args.delta)
+    return dsl.parse(text, q=_context(args), delta=args.delta)
 
 
 def _parse_poly(args, text) -> Poly:
     body = text.strip()
     if not body.startswith("poly("):
         body = "poly(%s)" % body
-    return dsl.parse(body, ctx=_context(args), delta=args.delta)
+    return dsl.parse(body, q=_context(args), delta=args.delta)
 
 
 def _emit(fmt: str, data, text, csv=None):
@@ -244,7 +245,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later
+    command in the process; parsing keeps no state between calls."""
     parser = _ArgumentParser(
         prog="qdeform",
         description="Exact operator calculus for commutation-relation-preserving "

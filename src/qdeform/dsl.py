@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ParseError, SemanticError, SingularOperatorError
 from .maps import a_delta_expr, b_delta_expr, dq_expr, mq_expr, s_expr, xq_expr
 from .opcore import (
     A_DIAG,
     B_DIAG,
-    BasisDiag,
     COORD,
     Coord,
     DERIV,
@@ -126,12 +125,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, q, delta, ctx: Optional[QContext]):
+    def __init__(self, text: str, q, delta):
         self.tokens = _tokenize(text)
         self.pos = 0
         self._q = q
         self._delta = rational(delta) if delta is not None else None
-        self._ctx = ctx
 
     # -- token plumbing -------------------------------------------------
 
@@ -156,13 +154,13 @@ class _Parser:
     # -- parameter plumbing ----------------------------------------------
 
     def ctx(self, tok: Token) -> QContext:
-        if self._ctx is None:
-            if self._q is None:
-                raise SemanticError(
-                    "%r requires the q parameter" % tok.value, tok.line, tok.col
-                )
-            self._ctx = QContext(self._q)
-        return self._ctx
+        if self._q is None:
+            raise SemanticError(
+                "%r requires the q parameter" % tok.value, tok.line, tok.col
+            )
+        if not isinstance(self._q, QContext):
+            self._q = QContext(self._q)
+        return self._q
 
     def delta(self, tok: Token) -> Fraction:
         if self._delta is None:
@@ -271,13 +269,14 @@ class _Parser:
         name = tok.value
         if name == "exp":
             return ExpOp(arg)
-        if not _built_from(arg, (DiagFn, DiagInv, Ident)):
+        if not _built_from(arg, (DiagFn, Ident)):
             raise SemanticError(
                 "%s() requires a diagonal argument" % name, tok.line, tok.col
             )
         spec = _spectrum(arg)
         if name == "inv":
-            return DiagInv(arg if isinstance(arg, DiagFn) else DiagFn(pretty(arg), spec))
+            plain = isinstance(arg, DiagFn) and not arg.inverse
+            return DiagInv(arg if plain else DiagFn(pretty(arg), spec))
         ctx = self.ctx(tok)
         outer = ctx.qnumber if name == "qn" else ctx.dbracket
         label = "%s(%s)" % (name, pretty(arg))
@@ -313,18 +312,17 @@ def _spectrum(e: OpExpr):
     return lambda n: apply(e, Poly.monomial(n), n).coefficient(n)
 
 
-def parse(text: str, *, q=None, delta=None, ctx: Optional[QContext] = None):
+def parse(text: str, *, q=None, delta=None):
     """Parse an operator expression or a poly(...) literal.
 
-    q and delta bind the parameterized atoms; a prebuilt QContext may be
-    passed instead of q. Raises ParseError/SemanticError with "line:col:"
+    q and delta bind the parameterized atoms. q is a rational or a prebuilt
+    QContext; a rational becomes a QContext only when a q-atom or a qb/qn
+    call appears. Raises ParseError/SemanticError with "line:col:"
     positions; never anything else on malformed text.
     """
-    if q is not None:
-        q = rational(q) if not isinstance(q, QContext) else q
-    if isinstance(q, QContext) and ctx is None:
-        ctx, q = q, None
-    return _Parser(text, q, delta, ctx).parse_input()
+    if q is not None and not isinstance(q, QContext):
+        q = rational(q)
+    return _Parser(text, q, delta).parse_input()
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +372,8 @@ def _render_bare(e: OpExpr) -> str:
         return "d"
     if isinstance(e, Ident):
         return "1"
-    if isinstance(e, (DiagFn, BasisDiag)):
-        return e.name
-    if isinstance(e, DiagInv):
-        return "inv(%s)" % e.inner.name
+    if isinstance(e, DiagFn):
+        return "inv(%s)" % e.name if e.inverse else e.name
     if isinstance(e, ExpOp):
         return "exp(%s)" % _render(e.arg, _SUM)
     if isinstance(e, IntPow):

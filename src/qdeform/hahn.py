@@ -226,20 +226,14 @@ def eigenpolynomials(
     if variant in _Q_VARIANTS and ctx is None:
         raise ValueError("%s requires a q context" % variant.value)
 
-    if variant == HahnVariant.Q_SPECTRUM:
-        eigvals = [q_eigenvalue(params, ctx, k) for k in range(kmax + 1)]
-        _check_distinct(eigvals)
-        lin = realize_exact(build(variant, params, ctx), D)
-        _check_diagonal(lin, eigvals)
-        return [Poly(_solve_triangular(lin, eigvals, k)) for k in range(kmax + 1)]
-
-    eigvals = [eigenvalue(params, k) for k in range(kmax + 1)]
+    source = variant if variant == HahnVariant.Q_SPECTRUM else HahnVariant.CONTINUOUS
+    eigvals = [spectrum(variant, params, k, ctx) for k in range(kmax + 1)]
     _check_distinct(eigvals)
-    lin = realize_exact(build(HahnVariant.CONTINUOUS, params), D)
+    lin = realize_exact(build(source, params, ctx), D)
     _check_diagonal(lin, eigvals)
     gammas = [_solve_triangular(lin, eigvals, k) for k in range(kmax + 1)]
 
-    if variant == HahnVariant.CONTINUOUS:
+    if variant == source:
         return [Poly(g) for g in gammas]
     if variant in (HahnVariant.THREE_POINT, HahnVariant.ABSTRACT):
         tag = FallingFactorial(params.delta)
@@ -272,21 +266,20 @@ def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
     booleans."""
     entries = []
     for params in paramsets:
-        lam = [eigenvalue(params, k) for k in range(kmax + 1)]
         cases = [
-            ("continuous-diagonal", HahnVariant.CONTINUOUS, None, lam),
-            ("three-point-diagonal", HahnVariant.THREE_POINT, None, lam),
+            ("continuous-diagonal", HahnVariant.CONTINUOUS, None),
+            ("three-point-diagonal", HahnVariant.THREE_POINT, None),
         ]
         for q in qs:
             ctx = q if isinstance(q, QContext) else QContext(q)
-            lam_q = [q_eigenvalue(params, ctx, k) for k in range(kmax + 1)]
-            cases.append(("q-deformed-diagonal", HahnVariant.Q_DEFORMED, ctx, lam))
-            cases.append(("q-spectrum-diagonal", HahnVariant.Q_SPECTRUM, ctx, lam_q))
-        for check, variant, ctx, expect in cases:
+            cases.append(("q-deformed-diagonal", HahnVariant.Q_DEFORMED, ctx))
+            cases.append(("q-spectrum-diagonal", HahnVariant.Q_SPECTRUM, ctx))
+        for check, variant, ctx in cases:
             entry = {"check": check, "params": _param_tag(params)}
             if ctx is not None:
                 entry["q"] = str(ctx.q)
             lin = realize_exact(build(variant, params, ctx), D)
+            expect = [spectrum(variant, params, k, ctx) for k in range(kmax + 1)]
             entry["ok"] = list(lin.diagonal()[: kmax + 1]) == expect
             entries.append(entry)
     return {"ok": all(e["ok"] for e in entries), "entries": entries}

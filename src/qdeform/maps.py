@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -55,7 +56,6 @@ from .errors import (
     UnsupportedCompositionError,
 )
 from .opcore import (
-    BasisDiag,
     COORD,
     Coord,
     DERIV,
@@ -258,27 +258,24 @@ class DeformMap:
         if isinstance(e, Ident):
             return e
         if isinstance(e, DiagFn):
-            if self.preserves_degree:
+            if e.basis is not None:
+                if not isinstance(e.owner, DeformMap):
+                    raise UnsupportedCompositionError(
+                        "%s: basis-diagonal node without an owning map" % self.label
+                    )
+                owner = compose(self, e.owner)
+            elif self.preserves_degree:
                 return e
-            if self.is_ccr:
+            elif self.is_ccr:
                 # g(A) becomes g of the deformed degree operator, which is
                 # diagonal in this map's adapted basis with spectrum n.
-                return BasisDiag(
-                    "%s@%s" % (e.name, self.label), self.basis_element, e.fn, meta=self
-                )
-            raise UnsupportedCompositionError(
-                "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
-            )
-        if isinstance(e, DiagInv):
-            return DiagInv(self._image_leaf(e.inner))
-        if isinstance(e, BasisDiag):
-            if not isinstance(e.meta, DeformMap):
+                owner = self
+            else:
                 raise UnsupportedCompositionError(
-                    "%s: basis-diagonal node without an owning map" % self.label
+                    "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
                 )
-            owner = compose(self, e.meta)
-            return BasisDiag(
-                "%s@%s" % (e.name, owner.label), owner.basis_element, e.fn, meta=owner
+            return replace(
+                e, name="%s@%s" % (e.name, owner.label), basis=owner.basis_element, owner=owner
             )
         raise UnsupportedCompositionError("cannot substitute into %r" % (e,))
 

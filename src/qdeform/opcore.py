@@ -3,11 +3,12 @@ action on truncated polynomial spaces.
 
 An ``OpExpr`` is a small immutable AST: the two generators, sums, scalar
 multiples, ordered products (leftmost factor acts last), integer powers,
-terminating exponentials, and diagonal nodes. A ``DiagFn`` acts on x^n by
-the scalar g(n) — this one node kind uniformly houses A = x d/dx, B = 1+A,
-{A}, [[B]], q^A and the similarity diagonal. A ``BasisDiag`` is diagonal in
-a caller-supplied polynomial basis instead of the monomial one, which is
-how functions of deformed degree operators are evaluated spectrally.
+terminating exponentials, and diagonal nodes. ``DiagFn`` is the one
+diagonal node kind, a function g of the degree operator that scales the
+n-th basis element by g(n), or divides by it when inverted. On monomials
+it houses A = x d/dx, B = 1+A, {A}, [[B]], q^A and the similarity
+diagonal; in a map's adapted basis it is g of the deformed degree
+operator, which is how such functions are evaluated spectrally.
 
 Evaluation is by action, not by symbolic rewriting: vacuum-ordering
 semantics coincide with left action on polynomials, and action is exact and
@@ -15,7 +16,8 @@ terminating. ``apply`` works at an explicit truncation degree D and raises
 on overflow unless told to truncate, so identity checks are never silently
 corrupted. ``realize`` tabulates the action as a degree-banded matrix;
 ``realize_exact`` inflates the working degree by the expression's peak
-degree-raise so boundary columns come out exact.
+degree-raise so boundary columns come out exact, and commutators are
+realized through it.
 
 Everything here is immutable and pure; concurrent use is safe.
 """
@@ -23,9 +25,10 @@ Everything here is immutable and pure; concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional
 
 from .errors import (
     DegreeOverflowError,
@@ -120,21 +123,24 @@ class IntPow(Op):
 
 @dataclass(frozen=True, slots=True)
 class DiagFn(Op):
-    """Diagonal on monomials: x^n -> fn(n) x^n. fn must be total on 0..D."""
+    """Diagonal in a polynomial basis: the component along basis(n) is
+    scaled by fn(n), or divided by it when inverse; fn must be total on the
+    occupied degrees. basis None means the monomials, x^n -> fn(n) x^n;
+    otherwise basis(n) is a monomial-basis Poly of exact degree n, and owner
+    the DeformMap whose adapted basis it is."""
 
     name: str
     fn: Callable[[int], Fraction]
+    basis: Optional[Callable[[int], Poly]] = None
+    inverse: bool = False
+    owner: object = None
 
 
-@dataclass(frozen=True, slots=True)
-class DiagInv(Op):
+def DiagInv(d: OpExpr) -> DiagFn:
     """Inverse of a diagonal node; singular if a zero eigenvalue is occupied."""
-
-    inner: "OpExpr"
-
-    def __post_init__(self):
-        if not isinstance(self.inner, (DiagFn, BasisDiag)):
-            raise ValueError("DiagInv requires a diagonal operand")
+    if not isinstance(d, DiagFn) or d.inverse:
+        raise ValueError("DiagInv requires a diagonal operand")
+    return replace(d, inverse=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,18 +149,6 @@ class ExpOp(Op):
     any other argument is evaluated as a terminating power series."""
 
     arg: "OpExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class BasisDiag(Op):
-    """Diagonal in the polynomial basis basis(0), basis(1), ...: the
-    component along basis(n) is scaled by fn(n). basis(n) must be a
-    monomial-basis Poly of exact degree n."""
-
-    name: str
-    basis: Callable[[int], Poly]
-    fn: Callable[[int], Fraction]
-    meta: object = None
 
 
 OpExpr = Op
@@ -261,13 +255,9 @@ def _apply(e, p, D, trunc):
             out = _apply(e.base, out, D, trunc)
         return out
     if isinstance(e, DiagFn):
-        return p._diag(e.fn)
-    if isinstance(e, DiagInv):
-        if isinstance(e.inner, BasisDiag):
-            return _basis_apply(e.inner, p, invert=True)
-        return p._diag(lambda n: _divisor(e.inner, n), invert=True)
-    if isinstance(e, BasisDiag):
-        return _basis_apply(e, p, invert=False)
+        if e.basis is not None:
+            return _basis_apply(e, p)
+        return p._diag(partial(_divisor, e) if e.inverse else e.fn, e.inverse)
     if isinstance(e, ExpOp):
         h = _shift_step(e.arg)
         if h is not None:
@@ -313,7 +303,7 @@ def _divisor(diag, n: int) -> Fraction:
     return g
 
 
-def _basis_apply(bd: BasisDiag, p: Poly, *, invert: bool) -> Poly:
+def _basis_apply(bd: DiagFn, p: Poly) -> Poly:
     # Triangular elimination: each basis element has exact degree n, so
     # components are read off from the top degree down.
     comps = []
@@ -329,7 +319,7 @@ def _basis_apply(bd: BasisDiag, p: Poly, *, invert: bool) -> Poly:
         comps.append((n, c, bn))
         rem = rem - bn.scale(c)
     return Poly._lincomb(
-        (c / _divisor(bd, n) if invert else c * bd.fn(n), bn) for n, c, bn in comps
+        (c / _divisor(bd, n) if bd.inverse else c * bd.fn(n), bn) for n, c, bn in comps
     )
 
 
@@ -346,7 +336,7 @@ def _degree_fold(e: OpExpr):
         return 1, 1
     if isinstance(e, Deriv):
         return -1, 0
-    if isinstance(e, (Ident, DiagFn, DiagInv, BasisDiag)):
+    if isinstance(e, (Ident, DiagFn)):
         return 0, 0
     if isinstance(e, Scaled):
         return _degree_fold(e.op)
@@ -565,17 +555,10 @@ def acts_equally(e1: OpExpr, e2: OpExpr, D: int) -> bool:
 
 
 def _weighted_commutator(e1, e2, w, D):
-    Dw = working_degree(D, op_prod(e1, e2), op_prod(e2, e1))
-    cols = []
-    for n in range(D + 1):
-        xn = Poly.monomial(n)
-        ab = apply(e1, apply(e2, xn, Dw), Dw)
-        ba = apply(e2, apply(e1, xn, Dw), Dw)
-        diff = ab - ba.scale(w)
-        cols.append(diff if diff.degree <= D else None)
-    if all(c is None for c in cols):
+    lin = realize_exact(op_sum(op_prod(e1, e2), scaled(-w, op_prod(e2, e1))), D)
+    if all(c is None for c in lin.columns):
         raise EmptyWindowError("no degree survives the band-safety restriction")
-    return LinOp(D, cols)
+    return lin
 
 
 def commutator(e1: OpExpr, e2: OpExpr, D: int) -> LinOp:

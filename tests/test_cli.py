@@ -443,6 +443,40 @@ class TestDeterminism:
         assert proc.stdout == "7/4*x^2\n"
 
 
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        # a usage error must leave nothing behind for the next command, and
+        # both must print exactly what a fresh process prints
+        import qdeform.cli
+
+        repo = Path(__file__).resolve().parents[1]
+        env = {"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin", "COLUMNS": "80"}
+        monkeypatch.setenv("COLUMNS", "80")
+        builds = []
+
+        class Counting(qdeform.cli._ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("prog") == "qdeform":
+                    builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(qdeform.cli, "_ArgumentParser", Counting)
+        qdeform.cli.build_parser.cache_clear()
+        try:
+            commands = (["apply", "Dq"], ["apply", "Dq", "x^3", "--q", "1/2"])
+            got = [run(capsys, *argv) for argv in commands]
+        finally:
+            qdeform.cli.build_parser.cache_clear()
+        assert len(builds) == 1
+        assert [code for code, _, _ in got] == [2, 0]
+        for argv, result in zip(commands, got):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdeform.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == result
+
+
 class TestReadmeGoldens:
     """Every CLI example in the README runs verbatim with the shown output."""
 

@@ -35,9 +35,9 @@ from qdeform.maps import (
     xq_expr,
 )
 from qdeform.opcore import (
-    BasisDiag,
     COORD,
     DERIV,
+    DiagFn,
     ExpOp,
     IDENT,
     IntPow,
@@ -228,7 +228,7 @@ class TestComposition:
                 op_prod(COORD, op_sum(IDENT, scaled(-1, ExpOp(scaled(-delta, DERIV))))),
             ),
         )
-        spectral = BasisDiag("B@delta", md.basis_element, lambda n: Fraction(n + 1))
+        spectral = DiagFn("B@delta", lambda n: Fraction(n + 1), basis=md.basis_element)
         assert realize_exact(explicit, 8) == realize_exact(spectral, 8)
         for n in range(8):
             ket = adapted_basis(md, n, 10)
@@ -241,6 +241,19 @@ class TestComposition:
         outer = phi_delta(Fraction(1, 2))
         m = compose(outer, inner)
         assert commutator(m.image_a, m.image_b, 10).is_identity()
+
+    def test_substituted_diagonals_print_their_basis(self):
+        # a monomial diagonal moves into the map's adapted basis, a basis
+        # diagonal into the composed map's; an inverse stays an inverse
+        from qdeform.dsl import pretty
+
+        ctx = ctx_for(Fraction(1, 2))
+        dq_ = compose(phi_delta(1), phi_q(ctx))
+        assert pretty(phi_delta(1).image(dq_expr(ctx))) == "inv(qb(B)@phi_delta[1])*(exp(d)-1)"
+        assert pretty(dq_.image_b) == "x*exp(-d)*qb(B)@phi_delta[1]"
+        assert pretty(phi_q(ctx).image(dq_.image_a)) == (
+            "inv(qb(B)@phi_delta[1]@phi_q[1/2].phi_delta[1])*(exp(inv(qb(B))*d)-1)"
+        )
 
 
 class TestProjection:

@@ -16,9 +16,9 @@ from qdeform.errors import (
 from qdeform.opcore import (
     A_DIAG,
     B_DIAG,
-    BasisDiag,
     COORD,
     DERIV,
+    DiagFn,
     DiagInv,
     ExpOp,
     IDENT,
@@ -38,6 +38,7 @@ from qdeform.opcore import (
     realize_exact,
     scaled,
     star,
+    working_degree,
 )
 from qdeform.poly import Poly
 from qdeform.qnum import QContext
@@ -145,6 +146,16 @@ class TestOverflow:
     def test_input_too_big(self):
         with pytest.raises(ValueError):
             apply(DERIV, Poly.monomial(5), 4)
+
+
+class TestDiagInv:
+    def test_requires_a_diagonal_operand(self):
+        with pytest.raises(ValueError):
+            DiagInv(COORD)
+
+    def test_rejects_an_inverted_operand(self):
+        with pytest.raises(ValueError):
+            DiagInv(DiagInv(A_DIAG))
 
 
 class TestSingular:
@@ -266,6 +277,55 @@ class TestCommutators:
             commutator(DERIV, IntPow(COORD, 3), 1)
 
 
+def reference_q_commutator(e1, e2, w, D):
+    """Columns of e1 e2 - w e2 e1 from the two products applied factor by
+    factor at one working degree, None above D; None in place of the
+    columns when no degree survives."""
+    Dw = working_degree(D, op_prod(e1, e2), op_prod(e2, e1))
+    cols = []
+    for n in range(D + 1):
+        xn = Poly.monomial(n)
+        ab = apply(e1, apply(e2, xn, Dw), Dw)
+        ba = apply(e2, apply(e1, xn, Dw), Dw)
+        diff = ab - ba.scale(w)
+        cols.append(diff if diff.degree <= D else None)
+    return None if all(c is None for c in cols) else cols
+
+
+_HALF = ctx_for(Fraction(1, 2))
+commutator_words = st.lists(
+    st.sampled_from(
+        [
+            COORD,
+            DERIV,
+            B_DIAG,
+            DiagInv(qnum_diag(_HALF, 1)),
+            ExpOp(scaled(Fraction(1, 2), DERIV)),
+            ExpOp(scaled(-1, DERIV)),
+        ]
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda fs: op_prod(*fs))
+
+
+class TestCommutatorOracle:
+    @given(
+        e1=commutator_words,
+        e2=commutator_words,
+        w=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(-9, 10)]),
+        D=st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=80)
+    def test_columns_match_the_factorwise_products(self, e1, e2, w, D):
+        expect = reference_q_commutator(e1, e2, w, D)
+        if expect is None:
+            with pytest.raises(EmptyWindowError):
+                q_commutator(e1, e2, w, D)
+        else:
+            assert list(q_commutator(e1, e2, w, D).columns) == expect
+
+
 words = st.lists(
     st.sampled_from([COORD, DERIV]), min_size=1, max_size=5
 ).map(lambda fs: op_prod(*fs) if len(fs) > 1 else fs[0])
@@ -323,7 +383,7 @@ class TestBounds:
 
 class TestBasisDiag:
     def test_monomial_basis_reduces_to_diagfn(self):
-        bd = BasisDiag("n+1", lambda n: Poly.monomial(n), lambda n: Fraction(n + 1))
+        bd = DiagFn("n+1", lambda n: Fraction(n + 1), basis=lambda n: Poly.monomial(n))
         assert realize_exact(bd, 6) == realize_exact(B_DIAG, 6)
 
     def test_nontrivial_basis(self):
@@ -331,14 +391,14 @@ class TestBasisDiag:
         basis = [Poly.one()]
         for n in range(1, 8):
             basis.append(basis[-1] * Poly([-1, 1]))
-        bd = BasisDiag("shifted", lambda n: basis[n], lambda n: Fraction(2) ** n)
+        bd = DiagFn("shifted", lambda n: Fraction(2) ** n, basis=lambda n: basis[n])
         p = basis[3] + basis[1].scale(5)
         out = apply(bd, p, 8)
         assert out == basis[3].scale(8) + basis[1].scale(10)
 
     def test_inverse(self):
         basis = [Poly.one(), Poly([1, 1]), Poly([1, 0, 1])]
-        bd = BasisDiag("g", lambda n: basis[n], lambda n: Fraction(n + 1))
+        bd = DiagFn("g", lambda n: Fraction(n + 1), basis=lambda n: basis[n])
         p = basis[2].scale(3)
         assert apply(DiagInv(bd), p, 4) == basis[2]
 
