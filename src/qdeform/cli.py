@@ -352,6 +352,11 @@ def _run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag in ("--degree", "--kmax", "count"):
+        value = getattr(args, flag.lstrip("-"), 0)
+        if value < 0:
+            print("error: %s must be nonnegative, got %d" % (flag, value), file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except DslError as exc:

@@ -19,6 +19,13 @@ corrupted. ``realize`` tabulates the action as a degree-banded matrix;
 degree-raise so boundary columns come out exact, and commutators are
 realized through it.
 
+An exponential exp(h G d), G a monomial-basis diagonal after d, is applied
+without its series: G d = U^-1 d U for the diagonal U with
+u(n+1)/u(n) = g(n), the similarity rule that carries d to the Jackson
+derivative, so exp(h G d) is the Taylor shift conjugated by U. When G is
+inverted with a zero eigenvalue below the input's degree, or g cannot be
+evaluated there, the series runs instead, and raises where it always has.
+
 Everything here is immutable and pure; concurrent use is safe.
 """
 
@@ -33,6 +40,7 @@ from typing import Callable, Optional
 from .errors import (
     DegreeOverflowError,
     EmptyWindowError,
+    MathError,
     NonterminatingExponentialError,
     SingularOperatorError,
     UnsupportedBasisOperationError,
@@ -145,8 +153,11 @@ def DiagInv(d: OpExpr) -> DiagFn:
 
 @dataclass(frozen=True, slots=True)
 class ExpOp(Op):
-    """Operator exponential: exp(h d) is the Taylor shift p(x) -> p(x + h);
-    any other argument is evaluated as a terminating power series."""
+    """Operator exponential. exp(h G d), G a monomial-basis diagonal with
+    eigenvalues g (g = 1 for exp(h d)), is the Taylor shift p(x) -> p(x + h)
+    conjugated by the diagonal U with u(n) = g(0) ... g(n-1); any other
+    argument, or an inverted G with g(k) = 0 below the input's degree, is
+    evaluated as a terminating power series."""
 
     arg: "OpExpr"
 
@@ -215,11 +226,15 @@ def apply(e: OpExpr, p: Poly, D: int, *, allow_truncation: bool = False) -> Poly
         raise UnsupportedBasisOperationError(
             "operators act on monomial-basis polynomials; convert first"
         )
-    if D < 0:
-        raise ValueError("truncation degree must be nonnegative")
+    _require_natural(D)
     if p.degree > D:
         raise ValueError("input degree %d exceeds truncation %d" % (p.degree, D))
     return _apply(e, p, D, allow_truncation)
+
+
+def _require_natural(D: int):
+    if D < 0:
+        raise ValueError("truncation degree must be nonnegative")
 
 
 def _apply(e, p, D, trunc):
@@ -252,6 +267,8 @@ def _apply(e, p, D, trunc):
     if isinstance(e, IntPow):
         out = p
         for _ in range(e.n):
+            if out.is_zero:
+                break
             out = _apply(e.base, out, D, trunc)
         return out
     if isinstance(e, DiagFn):
@@ -259,9 +276,9 @@ def _apply(e, p, D, trunc):
             return _basis_apply(e, p)
         return p._diag(partial(_divisor, e) if e.inverse else e.fn, e.inverse)
     if isinstance(e, ExpOp):
-        h = _shift_step(e.arg)
-        if h is not None:
-            return p.shift(h)  # Taylor: exp(h d) p(x) = p(x + h)
+        steps = _shift_steps(e.arg, p.degree)
+        if steps is not None:
+            return p._conjugated_shift(steps)
         acc = p
         term = p
         k = 0
@@ -284,13 +301,32 @@ def _apply(e, p, D, trunc):
     raise TypeError("not an operator expression: %r" % (e,))
 
 
-def _shift_step(arg):
-    """h when arg is h*d (h = 1 for d itself), else None."""
-    if isinstance(arg, Deriv):
-        return Fraction(1)
-    if isinstance(arg, Scaled) and isinstance(arg.op, Deriv):
-        return arg.c
-    return None
+def _shift_steps(arg, N):
+    """The steps h g(k), k < N, of exp(arg) as the conjugated Taylor shift
+    (see ExpOp); scalar factors may stand anywhere before d. None when arg
+    is not h G d or h d, or when g cannot be evaluated or inverted below N."""
+    h = Fraction(1)
+    if isinstance(arg, Scaled):
+        h, arg = arg.c, arg.op
+    factors = arg.factors if isinstance(arg, OpProd) else (arg,)
+    if not isinstance(factors[-1], Deriv):
+        return None
+    g = None
+    for f in factors[:-1]:
+        if isinstance(f, Scaled) and isinstance(f.op, Ident):
+            h *= f.c
+        elif isinstance(f, DiagFn) and f.basis is None and g is None:
+            g = f
+        else:
+            return None
+    if g is None:
+        return [h] * N
+    try:
+        if g.inverse:
+            return [h / _divisor(g, k) for k in range(N)]
+        return [h * g.fn(k) for k in range(N)]
+    except (MathError, ArithmeticError, ValueError):
+        return None
 
 
 def _divisor(diag, n: int) -> Fraction:
@@ -529,6 +565,7 @@ class LinOp:
 
 def realize(e: OpExpr, D: int, *, allow_truncation: bool = False) -> LinOp:
     """Tabulate e column by column; overflowing columns are marked None."""
+    _require_natural(D)
     cols = []
     for n in range(D + 1):
         try:
@@ -541,6 +578,7 @@ def realize(e: OpExpr, D: int, *, allow_truncation: bool = False) -> LinOp:
 def realize_exact(e: OpExpr, D: int) -> LinOp:
     """Like realize, but works at an inflated internal truncation so that a
     column is marked only when its exact image genuinely leaves degree D."""
+    _require_natural(D)
     Dw = working_degree(D, e)
     cols = []
     for n in range(D + 1):

@@ -117,25 +117,28 @@ class Poly:
 
     @classmethod
     def zero(cls, basis=MONOMIAL):
-        return cls((), basis)
+        return cls._make([], 1, basis, reduced=True)
 
     @classmethod
     def one(cls, basis=MONOMIAL):
-        return cls((1,), basis)
+        return cls._make([1], 1, basis, reduced=True)
 
     @classmethod
     def x(cls):
-        return cls((0, 1))
+        return cls._make([0, 1], 1, reduced=True)
 
     @classmethod
     def monomial(cls, n, coeff=1):
         """coeff * x^n."""
-        return cls((0,) * n + (coeff,))
+        c = rational(coeff)
+        if not c:
+            return cls.zero()
+        return cls._make([0] * n + [c.numerator], c.denominator, reduced=True)
 
     @classmethod
     def falling_element(cls, n, delta):
         """[x]_n as a falling-basis polynomial."""
-        return cls((0,) * n + (1,), FallingFactorial(delta))
+        return cls._make([0] * n + [1], 1, FallingFactorial(delta), reduced=True)
 
     # -- structure ----------------------------------------------------
 
@@ -261,23 +264,39 @@ class Poly:
             )
 
     def shift(self, h) -> "Poly":
-        """p(x) -> p(x + h), as an integer Taylor shift.
-
-        For h = a/b and degree N, b^N p((y + a)/b) = sum_n c_n b^(N-n) (y+a)^n
-        is shifted by the integer a with Horner's scheme; substituting y = bx
-        back puts coefficient k over den * b^(N-k).
-        """
+        """p(x) -> p(x + h), as an integer Taylor shift."""
         self._require_monomial("shift")
-        h = rational(h)
-        if h == 0 or self.is_zero:
+        return self._conjugated_shift([rational(h)] * self.degree)
+
+    def _conjugated_shift(self, steps) -> "Poly":
+        """U^-1 exp(h d) U p for a diagonal U, given steps[k] = h u(k+1)/u(k)
+        for every k below the degree; steps all h is the Taylor shift.
+
+        Horner's scheme for the shift, c[k] += h c[k+1], conjugated by U is
+        c[k] += steps[k] c[k+1], so U itself is never formed. For
+        steps[k] = a_k/b_k, coefficient n is first scaled by
+        w_n = b_n b_(n+1) ... b_(N-1), which makes every step the integer
+        update e[k] += a_k e[k+1]; coefficient k of the result is then
+        e[k] b_0 ... b_(k-1) over den w_0, reduced once.
+        """
+        top = len(self._num) - 1
+        if top < 1:
             return self
-        a, b = h.numerator, h.denominator
-        c = _scaled_down(self._num, b)
-        top = len(c) - 1
+        a = [s.numerator for s in steps]
+        b = [s.denominator for s in steps]
+        e = list(self._num)
+        w = 1
+        for n in range(top - 1, -1, -1):
+            w *= b[n]
+            e[n] *= w
         for i in range(top):
             for k in range(top - 1, i - 1, -1):
-                c[k] += a * c[k + 1]
-        return Poly._make(_scale_up(c, b), self._den * b**top)
+                e[k] += a[k] * e[k + 1]
+        bp = 1
+        for k in range(1, top + 1):
+            bp *= b[k - 1]
+            e[k] *= bp
+        return Poly._make(e, self._den * w)
 
     def qscale(self, q) -> "Poly":
         """p(x) -> p(qx): degree-n coefficient picks up q^n."""

@@ -331,6 +331,34 @@ class TestVerifyMinimumDegree:
         assert err == "error: suite %r needs degree D >= %d, got %d\n" % (suite, least, least - 1)
 
 
+HAHN_ARGS = ["continuous", "--alpha=1/2", "--beta=1/3", "--N=5"]
+
+
+class TestNegativeCounts:
+    """A negative --degree, --kmax or count is a usage error on every command."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["apply", "x", "1", "--degree", "-1"], "--degree"),
+            (["realize", "x", "--degree", "-1"], "--degree"),
+            (["verify", "ccr", "--q=1/2", "--degree", "-1"], "--degree"),
+            (["basis", "phi_q", "3", "--q=1/2", "--degree", "-1"], "--degree"),
+            (["basis", "phi_q", "-1", "--q=1/2"], "count"),
+            (["project", "phi_q", "x", "--q=1/2", "--degree", "-1"], "--degree"),
+            (["hahn", *HAHN_ARGS, "--kmax", "-1"], "--kmax"),
+            (["hahn", *HAHN_ARGS, "--degree", "-1"], "--degree"),
+            (["spectrum", *HAHN_ARGS, "--kmax", "-1"], "--kmax"),
+            (["spectrum", *HAHN_ARGS, "--degree", "-1"], "--degree"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, list) else v,
+    )
+    def test_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: %s must be nonnegative, got -1\n" % flag
+
+
 class TestRationalFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Q_GRID, monomial_polys, small_rationals
+from qdeform import opcore
+from qdeform.cli import main
+from qdeform.dsl import parse
 from qdeform.errors import (
     DegreeOverflowError,
     EmptyWindowError,
@@ -29,6 +32,7 @@ from qdeform.opcore import (
     commutator,
     dbracket_diag,
     degree_raise_bound,
+    gamma_ratio_diag,
     op_prod,
     op_sum,
     peak_raise,
@@ -135,6 +139,126 @@ class TestExpTermination:
         assert out == expect
 
 
+def fast_path_diagonals(ctx):
+    """Monomial-basis diagonals G for which exp(h G d) is the conjugated
+    Taylor shift: plain and inverted, with and without a zero at degree 0."""
+    return {
+        "inv(qb(B))": DiagInv(dbracket_diag(ctx, 1)),
+        "qb(B)": dbracket_diag(ctx, 1),
+        "U": gamma_ratio_diag(ctx),
+        "qn(B)": qnum_diag(ctx, 1),
+        "inv(qn(B))": DiagInv(qnum_diag(ctx, 1)),
+        "qn(A)": qnum_diag(ctx),
+        "A": A_DIAG,
+    }
+
+
+def series_form(h, g):
+    """exp(h/2 G d + h/2 G d): the same operator as exp(h G d), in a form that
+    only the power-series path evaluates."""
+    half = scaled(h / 2, op_prod(g, DERIV))
+    return ExpOp(op_sum(half, half))
+
+
+FAST_PATH_STEPS = (Fraction(1, 2), Fraction(-3, 7), Fraction(2))
+FAST_PATH_Q = (Fraction(1, 2), Fraction(9, 10), Fraction(-9, 10))
+
+
+class TestConjugatedShift:
+    """exp(h G d) = U^-1 exp(h d) U with u(n) = g(0) ... g(n-1), against the
+    power series of the same operator."""
+
+    @given(
+        name=st.sampled_from(sorted(fast_path_diagonals(QContext(Fraction(1, 2))))),
+        h=st.sampled_from(FAST_PATH_STEPS),
+        q=st.sampled_from(FAST_PATH_Q),
+        p=monomial_polys,
+    )
+    @settings(max_examples=150)
+    def test_matches_series(self, name, h, q, p):
+        g = fast_path_diagonals(QContext(q))[name]
+        fast = ExpOp(scaled(h, op_prod(g, DERIV)))
+        series = series_form(h, g)
+        assert opcore._shift_steps(fast.arg, p.degree) is not None
+        assert opcore._shift_steps(series.arg, p.degree) is None
+        D = max(p.degree, 0)
+        assert apply(fast, p, D) == apply(series, p, D)
+
+    def test_shifted_product_fails_the_oracle(self):
+        # negative control: u(n) = g(0) ... g(n), one factor too many
+        p = Poly([1, -2, Fraction(1, 3), 0, 5, Fraction(-7, 2)])
+        for q in FAST_PATH_Q:
+            for name, g in fast_path_diagonals(QContext(q)).items():
+                for h in FAST_PATH_STEPS:
+                    vals = [g.fn(k + 1) for k in range(p.degree)]
+                    steps = [h / v if g.inverse else h * v for v in vals]
+                    expect = apply(series_form(h, g), p, p.degree)
+                    assert p._conjugated_shift(steps) != expect, (q, name, h)
+
+    def test_written_forms_take_the_fast_path(self):
+        q, p = Fraction(9, 10), Poly([1, 2, 3, 4, 5])
+        g = DiagInv(dbracket_diag(QContext(q), 1))
+        expect = apply(series_form(Fraction(-1, 2), g), p, 4)
+        for text in ("exp(-1/2*inv(qb(B))*d)", "exp(-1/2*Dq)", "exp(inv(qb(B))*(-1/2)*d)"):
+            e = parse(text, q=q)
+            assert opcore._shift_steps(e.arg, p.degree) is not None, text
+            assert apply(e, p, 4) == expect, text
+        assert apply(parse("exp(2*d)"), p, 4) == p.shift(2)
+
+    def test_singular_inverse_falls_back_to_series(self):
+        e = ExpOp(op_prod(DiagInv(A_DIAG), DERIV))
+        assert opcore._shift_steps(e.arg, 3) is None
+        with pytest.raises(SingularOperatorError, match="^inv\\(A\\) hit eigenvalue 0 at occupied degree 0$"):
+            apply(e, Poly.monomial(3), 3)
+
+    def test_undefined_eigenvalue_falls_back_to_series(self):
+        # g(k) = {k - 1} is undefined at k = 0, which the series never reaches
+        # on x^3: its second term already vanishes at {0} = 0
+        g = qnum_diag(QContext(Fraction(1, 2)), -1)
+        h = Fraction(1, 3)
+        e = ExpOp(scaled(h, op_prod(g, DERIV)))
+        assert opcore._shift_steps(e.arg, 3) is None
+        assert apply(e, Poly.monomial(3), 3) == Poly([0, 0, 3 * h, 1])
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["exp(inv(A)*d)", "x^3"], "error: inv(A) hit eigenvalue 0 at occupied degree 0\n"),
+            (
+                ["exp(inv(qn(A))*d)", "x^2", "--q=1/2"],
+                "error: inv(qn(A)) hit eigenvalue 0 at occupied degree 0\n",
+            ),
+        ],
+    )
+    def test_cli_singular_exponential(self, capsys, argv, err):
+        assert main(["apply", *argv]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+
+class TestPowerStopsAtZero:
+    @pytest.fixture
+    def visits(self, monkeypatch):
+        """Counts _apply visits, the recursive ones included."""
+        count = [0]
+        inner = opcore._apply
+
+        def counted(*args):
+            count[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(opcore, "_apply", counted)
+        return count
+
+    def test_lowered_to_zero(self, visits):
+        assert apply(IntPow(DERIV, 100000), Poly.monomial(3), 3).is_zero
+        assert visits[0] <= 10
+
+    def test_zero_input(self, visits):
+        assert apply(IntPow(COORD, 100000), Poly.zero(), 0).is_zero
+        assert visits[0] == 1
+
+
 class TestOverflow:
     def test_coordinate_overflow(self):
         with pytest.raises(DegreeOverflowError):
@@ -146,6 +270,11 @@ class TestOverflow:
     def test_input_too_big(self):
         with pytest.raises(ValueError):
             apply(DERIV, Poly.monomial(5), 4)
+
+    @pytest.mark.parametrize("tabulate", [realize, realize_exact])
+    def test_negative_truncation(self, tabulate):
+        with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
+            tabulate(DERIV, -1)
 
 
 class TestDiagInv:

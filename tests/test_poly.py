@@ -238,6 +238,15 @@ def ref_shift(a, h):
     return ref_trim(out)
 
 
+def ref_conjugated_shift(a, h, g):
+    """U^-1 shift(h) U, u(n) = g[0] ... g[n-1]: scale, shift, unscale."""
+    u = [Fraction(1)]
+    for v in g:
+        u.append(u[-1] * v)
+    shifted = ref_shift([c * u[n] for n, c in enumerate(a)], h)
+    return ref_trim(c / u[k] for k, c in enumerate(shifted))
+
+
 def ref_qscale(a, q):
     return ref_trim(c * q**n for n, c in enumerate(a))
 
@@ -325,6 +334,16 @@ class TestKernelOracles:
     def test_shift(self, p, h):
         assert_matches(p.shift(h), ref_shift(p.coeffs, h))
 
+    @given(
+        p=kernel_polys,
+        h=big_rationals,
+        g=st.lists(nonzero_big_rationals, min_size=24, max_size=24),
+    )
+    def test_conjugated_shift(self, p, h, g):
+        g = g[: max(p.degree, 0)]
+        out = p._conjugated_shift([h * v for v in g])
+        assert_matches(out, ref_conjugated_shift(p.coeffs, h, g))
+
     @given(p=kernel_polys, q=big_rationals)
     def test_qscale(self, p, q):
         assert_matches(p.qscale(q), ref_qscale(p.coeffs, q))
@@ -366,6 +385,33 @@ class TestKernelOracles:
         assert _adapted(24)._den.bit_length() > 200
 
 
+class TestConstructors:
+    @given(
+        n=st.integers(0, 12),
+        c=st.one_of(
+            st.integers(-(10**6), 10**6), big_rationals, st.sampled_from([0, Fraction(0)])
+        ),
+    )
+    def test_monomial_matches_general_constructor(self, n, c):
+        p, ref = Poly.monomial(n, c), Poly([0] * n + [c])
+        assert_canonical(p)
+        assert (p._num, p._den) == (ref._num, ref._den)
+        assert p == ref and p.coeffs == ref.coeffs and p(3) == ref(3)
+
+    def test_named_polynomials(self):
+        falling = FallingFactorial(Fraction(1, 2))
+        pairs = [
+            (Poly.zero(), Poly([])),
+            (Poly.zero(falling), Poly([], falling)),
+            (Poly.one(), Poly([1])),
+            (Poly.x(), Poly([0, 1])),
+            (Poly.falling_element(3, Fraction(1, 2)), Poly([0, 0, 0, 1], falling)),
+        ]
+        for p, ref in pairs:
+            assert_canonical(p)
+            assert (p._num, p._den, p.basis) == (ref._num, ref._den, ref.basis)
+
+
 class TestKernelOracleControls:
     """The oracle comparison above must be able to fail."""
 
@@ -374,6 +420,14 @@ class TestKernelOracleControls:
         assert_matches(p.shift(h), ref_shift(p.coeffs, h))
         with pytest.raises(AssertionError):
             assert_matches(p.shift(h), ref_shift(p.coeffs, -h))
+
+    def test_shifted_conjugation_is_caught(self):
+        p, h = _adapted(7), Fraction(-5, 12)
+        g = [Fraction(k + 2, 3) for k in range(8)]
+        out = p._conjugated_shift([h * v for v in g[:7]])
+        assert_matches(out, ref_conjugated_shift(p.coeffs, h, g[:7]))
+        with pytest.raises(AssertionError):
+            assert_matches(out, ref_conjugated_shift(p.coeffs, h, g[1:]))
 
     def test_skipped_normalization_is_caught(self, monkeypatch):
         def trim_only(num, den):
