@@ -18,16 +18,14 @@ import threading
 import warnings
 
 from .errors import DslError, MathError
-from .hahn import HahnParams, HahnVariant, spectrum, table_rows
-from .maps import b_projection, make_map
+from .hahn import Q_VARIANTS, HahnParams, HahnVariant, spectrum, table_rows
+from .maps import MAP_KINDS, b_projection, make_map
 from .opcore import apply, realize
 from .poly import Poly
 from .qnum import QContext, rational
 from . import dsl
 from .verify import SUITES, run_suite
 
-_MAP_KINDS = ("identity", "phi_q", "phi_delta", "phi_q_prime", "phi_q_delta", "phi_delta_q")
-_Q_MAPS = ("phi_q", "phi_q_prime", "phi_q_delta", "phi_delta_q")
 _NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
 
 
@@ -95,7 +93,9 @@ def _emit(fmt: str, data, text, csv=None):
 
 
 def _emit_poly(p: Poly, fmt: str):
-    _emit(fmt, p.to_json, [p.to_text()], [",".join(str(c) for c in p.coeffs) or "0"])
+    """Emit p; its lines are lazy, so only the requested format renders it."""
+    csv = (",".join(str(c) for c in q.coeffs) or "0" for q in [p])
+    _emit(fmt, p.to_json, (q.to_text() for q in [p]), csv)
 
 
 def cmd_apply(args) -> int:
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
 
 def _make_map(args):
     q = rational(args.q) if args.q is not None else None
-    if args.map in _Q_MAPS:
+    if "q" in MAP_KINDS[args.map][0]:
         q = _context(args)
     delta = rational(args.delta) if args.delta is not None else None
     return make_map(args.map, q=q, delta=delta)
@@ -189,7 +189,7 @@ def _hahn_args(args):
         c1=rational(args.c1),
     )
     ctx = None
-    if variant in (HahnVariant.Q_DEFORMED, HahnVariant.Q_SPECTRUM):
+    if variant in Q_VARIANTS:
         if args.q is None:
             raise ValueError("%s requires --q" % variant.value)
         ctx = _context(args)
@@ -273,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("basis", help="emit adapted-basis elements |0>..|n>")
-    p.add_argument("map", choices=_MAP_KINDS)
+    p.add_argument("map", choices=list(MAP_KINDS))
     p.add_argument("count", type=int, help="largest basis index to emit")
     _add_common(p)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("project", help="project a polynomial through a map")
-    p.add_argument("map", choices=_MAP_KINDS)
+    p.add_argument("map", choices=list(MAP_KINDS))
     p.add_argument("poly")
     _add_common(p)
     p.set_defaults(func=cmd_project)

@@ -58,6 +58,11 @@ from .opcore import (
 from .poly import MONOMIAL, Poly
 from .qnum import QContext, rational
 
+# Groups, calls and unary minus each open one level, and a "^" opens one below
+# the deepest level its primary reached. No path may cross more levels, which
+# keeps parsing and evaluation clear of Python's recursion limit.
+MAX_NESTING = 100
+
 _CALLS = ("qb", "qn", "inv", "exp")
 _ATOMS = {"x": COORD, "d": DERIV, "A": A_DIAG, "B": B_DIAG}
 _Q_ATOMS = {"Mq": mq_expr, "Dq": dq_expr, "xq": xq_expr, "S": s_expr, "U": gamma_ratio_diag}
@@ -128,6 +133,7 @@ class _Parser:
     def __init__(self, text: str, q, delta):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.deepest = 0  # deepest level reached in the current power's primary
         self._q = q
         self._delta = rational(delta) if delta is not None else None
 
@@ -150,6 +156,13 @@ class _Parser:
                 tok.col,
             )
         return self.advance()
+
+    def nest(self, tok: Token, depth: int) -> int:
+        """The level tok opens below `depth`; past MAX_NESTING, a ParseError."""
+        if depth >= MAX_NESTING:
+            raise ParseError("nesting deeper than %d levels" % MAX_NESTING, tok.line, tok.col)
+        self.deepest = max(self.deepest, depth + 1)
+        return depth + 1
 
     # -- parameter plumbing ----------------------------------------------
 
@@ -177,7 +190,7 @@ class _Parser:
             self.advance()
             self.expect("(")
             inner_tok = self.peek()
-            e = self.parse_expr()
+            e = self.parse_expr(0)
             self.expect(")")
             end = self.peek()
             if end.kind != "end":
@@ -187,42 +200,43 @@ class _Parser:
                     "poly literals admit only x and rationals", inner_tok.line, inner_tok.col
                 )
             return apply(e, Poly.one(), working_degree(0, e))
-        e = self.parse_expr()
+        e = self.parse_expr(0)
         end = self.peek()
         if end.kind != "end":
             raise ParseError("trailing input", end.line, end.col)
         return e
 
-    def parse_expr(self) -> OpExpr:
-        terms = [self.parse_term()]
+    def parse_expr(self, depth: int) -> OpExpr:
+        terms = [self.parse_term(depth)]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            t = self.parse_term()
+            t = self.parse_term(depth)
             terms.append(t if op.kind == "+" else scaled(-1, t))
         return op_sum(*terms)
 
-    def parse_term(self) -> OpExpr:
-        factors = [self.parse_factor()]
+    def parse_term(self, depth: int) -> OpExpr:
+        factors = [self.parse_factor(depth)]
         while self.peek().kind == "*":
             self.advance()
-            factors.append(self.parse_factor())
+            factors.append(self.parse_factor(depth))
         return op_prod(*factors)
 
-    def parse_factor(self) -> OpExpr:
+    def parse_factor(self, depth: int) -> OpExpr:
         if self.peek().kind == "-":
-            self.advance()
-            return scaled(-1, self.parse_factor())
-        return self.parse_power()
+            return scaled(-1, self.parse_factor(self.nest(self.advance(), depth)))
+        return self.parse_power(depth)
 
-    def parse_power(self) -> OpExpr:
-        base = self.parse_primary()
+    def parse_power(self, depth: int) -> OpExpr:
+        outer, self.deepest = self.deepest, depth
+        base = self.parse_primary(depth)
         while self.peek().kind == "^":
-            self.advance()
+            self.nest(self.advance(), self.deepest)
             exp = self.expect("num")
             base = IntPow(base, exp.value)
+        self.deepest = max(outer, self.deepest)
         return base
 
-    def parse_primary(self) -> OpExpr:
+    def parse_primary(self, depth: int) -> OpExpr:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -236,14 +250,14 @@ class _Parser:
             return scaled(value, IDENT)
         if tok.kind == "(":
             self.advance()
-            e = self.parse_expr()
+            e = self.parse_expr(self.nest(tok, depth))
             self.expect(")")
             return e
         if tok.kind == "name":
             self.advance()
             if tok.value in _CALLS:
                 self.expect("(")
-                arg = self.parse_expr()
+                arg = self.parse_expr(self.nest(tok, depth))
                 self.expect(")")
                 return self._build_call(tok, arg)
             if tok.value == "poly":

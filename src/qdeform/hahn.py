@@ -9,7 +9,8 @@ differential-difference operator with the same spectrum, and substituting
 the Jackson derivative alone q-deforms the spectrum itself.
 
 Eigenfunction coefficients are never hard-coded: the differential variant
-is triangular on monomials, so they come out of an exact back-substitution,
+maps x^n to lambda_n x^n + s_n x^(n-1), so they come out of the exact
+two-term recurrence gamma_i = s_(i+1) gamma_(i+1) / (lambda_k - lambda_i),
 and the deformed variants reuse them with the basis reweightings the
 structure dictates. Normalization is monic in the leading basis element.
 """
@@ -21,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateSpectrumError, SpectrumMismatchError
+from .errors import DegenerateSpectrumError, MathError, SpectrumMismatchError
 from .maps import a_delta_expr, b_delta_expr, dq_expr
 from .opcore import (
     A_DIAG,
@@ -85,7 +86,7 @@ class HahnVariant(Enum):
     Q_SPECTRUM = "q_spectrum"
 
 
-_Q_VARIANTS = (HahnVariant.Q_DEFORMED, HahnVariant.Q_SPECTRUM)
+Q_VARIANTS = (HahnVariant.Q_DEFORMED, HahnVariant.Q_SPECTRUM)
 
 
 def _coeff_poly(c0, c1x, c2x2):
@@ -105,7 +106,7 @@ def _coeff_poly(c0, c1x, c2x2):
 def build(variant: HahnVariant, params: HahnParams, ctx: Optional[QContext] = None) -> OpExpr:
     """The operator for a variant as an expression; q-variants need a context."""
     variant = HahnVariant(variant)
-    if variant in _Q_VARIANTS and ctx is None:
+    if variant in Q_VARIANTS and ctx is None:
         raise ValueError("%s requires a q context" % variant.value)
     d = params.delta
     c1, c2, c3, c4 = params.c1, params.c2, params.c3, params.c4
@@ -177,33 +178,19 @@ def spectrum(
     return eigenvalue(params, k)
 
 
-def _solve_triangular(lin: LinOp, eigvals, k: int) -> list:
-    """Monic eigenvector of a degree-lowering triangular realization:
-    coefficients gamma_0..gamma_k with gamma_k = 1, by back-substitution."""
-    gamma = [Fraction(0)] * (k + 1)
-    gamma[k] = Fraction(1)
-    for i in range(k - 1, -1, -1):
-        s = Fraction(0)
-        for j in range(i + 1, k + 1):
-            s += lin.entry(i, j) * gamma[j]
-        gamma[i] = s / (eigvals[k] - eigvals[i])
-    return gamma
-
-
-def _check_distinct(eigvals):
-    seen = {}
-    for k, lam in enumerate(eigvals):
-        if lam in seen:
-            raise DegenerateSpectrumError((seen[lam], k))
-        seen[lam] = k
-
-
-def _check_diagonal(lin: LinOp, eigvals):
-    for k, (got, lam) in enumerate(zip(lin.diagonal(), eigvals)):
+def _subdiagonal(lin: LinOp, eigvals) -> list:
+    """s_n of each column x^n -> lambda_n x^n + s_n x^(n-1); others raise."""
+    sub = []
+    for n, (col, lam) in enumerate(zip(lin.columns, eigvals)):
+        if col is None or col.degree > n or (n > 1 and not col.truncated(n - 2).is_zero):
+            raise MathError("realized column %d lies outside the band (-1, 0)" % n)
+        got = col.coefficient(n)
         if got != lam:
             raise SpectrumMismatchError(
-                "realized diagonal at k=%d is %s, closed form gives %s" % (k, got, lam)
+                "realized diagonal at k=%d is %s, closed form gives %s" % (n, got, lam)
             )
+        sub.append(col.coefficient(n - 1))
+    return sub
 
 
 def eigenpolynomials(
@@ -215,7 +202,7 @@ def eigenpolynomials(
 ) -> list:
     """Monic eigenpolynomials h_0..h_kmax of a variant.
 
-    The differential variant is solved by exact back-substitution; the
+    The differential variant is solved by the two-term recurrence; the
     three-point/abstract and Jackson-deformed variants reweight the same
     coefficients into their own bases; the q-spectrum variant is solved
     independently against its own eigenvalues.
@@ -223,15 +210,20 @@ def eigenpolynomials(
     variant = HahnVariant(variant)
     if kmax > D:
         raise ValueError("kmax exceeds the truncation degree")
-    if variant in _Q_VARIANTS and ctx is None:
+    if variant in Q_VARIANTS and ctx is None:
         raise ValueError("%s requires a q context" % variant.value)
 
     source = variant if variant == HahnVariant.Q_SPECTRUM else HahnVariant.CONTINUOUS
     eigvals = [spectrum(variant, params, k, ctx) for k in range(kmax + 1)]
-    _check_distinct(eigvals)
-    lin = realize_exact(build(source, params, ctx), D)
-    _check_diagonal(lin, eigvals)
-    gammas = [_solve_triangular(lin, eigvals, k) for k in range(kmax + 1)]
+    sub = _subdiagonal(realize_exact(build(source, params, ctx), kmax), eigvals)
+    gammas = []
+    for k in range(kmax + 1):
+        if eigvals[k] in eigvals[:k]:
+            raise DegenerateSpectrumError((eigvals.index(eigvals[k]), k))
+        gamma = [Fraction(1)]  # the x^i coefficient of (H - lambda_k) h_k vanishes
+        for i in range(k - 1, -1, -1):
+            gamma.insert(0, sub[i + 1] * gamma[0] / (eigvals[k] - eigvals[i]))
+        gammas.append(gamma)
 
     if variant == source:
         return [Poly(g) for g in gammas]

@@ -26,11 +26,12 @@ The module provides:
   diagonal similarity transform, and the deformed conjugacy check for the
   shift pair.
 
+``MAP_KINDS`` lists the named kinds that ``make_map`` and the CLI build.
 The named constructors (``identity_map``, ``phi_q``, ``phi_delta``,
 ``phi_q_prime``, ``compose``, and through them ``make_map`` and
 ``map_from_json``) return one shared map per structural key: (kind, q,
-delta, check_degree), and for a composition (outer key, inner key,
-check_degree). A map is validated once, when first built, and its
+delta), and for a composition (outer key, inner key). A map is validated
+once, on degrees 0..``CHECK_DEGREE``, when first built, and its
 adapted-basis cache is shared with every later caller. The memo is a small
 LRU; two threads building the same key get the same map, and no thread
 sees a partly built one. ``fb_map`` (a user callable has no structural key)
@@ -82,7 +83,7 @@ from .opcore import (
 from .poly import MONOMIAL, Poly
 from .qnum import QContext, rational
 
-DEFAULT_CHECK_DEGREE = 16
+CHECK_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,6 @@ class DeformMap:
         preserves_degree: bool = False,
         outer: Optional["DeformMap"] = None,
         inner: Optional["DeformMap"] = None,
-        check_degree: int = DEFAULT_CHECK_DEGREE,
     ):
         self.kind = kind
         self.label = label
@@ -180,8 +180,7 @@ class DeformMap:
         self._key = None  # set by _shared on the one instance of a named map
         self._basis = [Poly.one()]
         self._basis_lock = threading.Lock()
-        if check_degree:
-            self._validate(check_degree)
+        self._validate(CHECK_DEGREE)
 
     def __setattr__(self, name, value):
         # public attributes are set once, in __init__; the private basis
@@ -332,10 +331,8 @@ def _shared(key: Optional[tuple], build: Callable[[], DeformMap]) -> DeformMap:
 
 def identity_map() -> DeformMap:
     return _shared(
-        ("identity", None, None, 8),
-        lambda: DeformMap(
-            "identity", "identity", DERIV, COORD, preserves_degree=True, check_degree=8
-        ),
+        ("identity", None, None),
+        lambda: DeformMap("identity", "identity", DERIV, COORD, preserves_degree=True),
     )
 
 
@@ -344,7 +341,6 @@ def fb_map(
     f: Callable[[int], Fraction],
     *,
     q: Optional[Fraction] = None,
-    check_degree: int = DEFAULT_CHECK_DEGREE,
 ) -> DeformMap:
     """The general family a -> f(B)^(-1) a, b -> b f(B), for f nonzero on
     positive integers. The degree operator is preserved exactly, so these
@@ -358,15 +354,14 @@ def fb_map(
         op_prod(COORD, diag),
         q=q,
         preserves_degree=True,
-        check_degree=check_degree,
     )
 
 
-def phi_q(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
+def phi_q(q) -> DeformMap:
     """The Jackson map: a -> [[B]]^(-1) a, b -> b [[B]]."""
     ctx = q if isinstance(q, QContext) else QContext(q)
     return _shared(
-        ("phi_q", ctx.q, None, check_degree),
+        ("phi_q", ctx.q, None),
         lambda: DeformMap(
             "phi_q",
             "phi_q[%s]" % ctx.q,
@@ -374,19 +369,18 @@ def phi_q(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
             xq_expr(ctx),
             q=ctx.q,
             preserves_degree=True,
-            check_degree=check_degree,
         ),
     )
 
 
-def phi_delta(delta, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
+def phi_delta(delta) -> DeformMap:
     """The shift map: a -> (e^(delta a) - 1)/delta, b -> b e^(-delta a).
 
     delta = 0 is the undeformed limit and yields the identity images.
     """
     delta = rational(delta)
     return _shared(
-        ("phi_delta", None, delta, check_degree),
+        ("phi_delta", None, delta),
         lambda: DeformMap(
             "phi_delta",
             "phi_delta[%s]" % delta,
@@ -394,12 +388,11 @@ def phi_delta(delta, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
             b_delta_expr(delta),
             delta=delta,
             preserves_degree=(delta == 0),
-            check_degree=check_degree,
         ),
     )
 
 
-def phi_q_prime(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
+def phi_q_prime(q) -> DeformMap:
     """The one-sided q-map: a -> a, b -> b [[B]]^(-1).
 
     The image pair satisfies the q-weighted relation a b' - q b' a = 1
@@ -407,7 +400,7 @@ def phi_q_prime(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
     """
     ctx = q if isinstance(q, QContext) else QContext(q)
     return _shared(
-        ("phi_q_prime", ctx.q, None, check_degree),
+        ("phi_q_prime", ctx.q, None),
         lambda: DeformMap(
             "phi_q_prime",
             "phi_q_prime[%s]" % ctx.q,
@@ -415,14 +408,11 @@ def phi_q_prime(q, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
             op_prod(COORD, DiagInv(dbracket_diag(ctx, 1))),
             q=ctx.q,
             relation_q=ctx.q,
-            check_degree=check_degree,
         ),
     )
 
 
-def compose(
-    outer: DeformMap, inner: DeformMap, *, check_degree: int = DEFAULT_CHECK_DEGREE
-) -> DeformMap:
+def compose(outer: DeformMap, inner: DeformMap) -> DeformMap:
     """Generator substitution: the composed image of g is outer's image of
     inner's image expression. The outer map must preserve the CCR (and the
     counit), since functions of the degree operator are pushed through it
@@ -433,7 +423,7 @@ def compose(
         )
     shared = outer._key is not None and inner._key is not None
     return _shared(
-        (outer._key, inner._key, check_degree) if shared else None,
+        (outer._key, inner._key) if shared else None,
         lambda: DeformMap(
             "compose",
             "%s.%s" % (outer.label, inner.label),
@@ -445,48 +435,38 @@ def compose(
             preserves_degree=outer.preserves_degree and inner.preserves_degree,
             outer=outer,
             inner=inner,
-            check_degree=check_degree,
         ),
     )
 
 
-def make_map(kind: str, *, q=None, delta=None, check_degree: int = DEFAULT_CHECK_DEGREE):
+# Each named map kind, in the order the CLI lists them: the parameters its
+# constructor takes, all required, and the constructor.
+MAP_KINDS = {
+    "identity": ((), identity_map),
+    "phi_q": (("q",), phi_q),
+    "phi_delta": (("delta",), phi_delta),
+    "phi_q_prime": (("q",), phi_q_prime),
+    "phi_q_delta": (("q", "delta"), lambda q, delta: compose(phi_q(q), phi_delta(delta))),
+    "phi_delta_q": (("q", "delta"), lambda q, delta: compose(phi_delta(delta), phi_q(q))),
+}
+
+
+def make_map(kind: str, *, q=None, delta=None) -> DeformMap:
     """String-dispatch constructor used by the CLI and serialization."""
     kind = kind.replace("-", "_")
-    if kind == "identity":
-        return identity_map()
-    if kind == "phi_q":
-        if q is None:
-            raise ValueError("phi_q requires q")
-        return phi_q(q, check_degree=check_degree)
-    if kind == "phi_delta":
-        if delta is None:
-            raise ValueError("phi_delta requires delta")
-        return phi_delta(delta, check_degree=check_degree)
-    if kind == "phi_q_prime":
-        if q is None:
-            raise ValueError("phi_q_prime requires q")
-        return phi_q_prime(q, check_degree=check_degree)
-    if kind == "phi_q_delta":
-        if q is None or delta is None:
-            raise ValueError("phi_q_delta requires q and delta")
-        return compose(phi_q(q), phi_delta(delta), check_degree=check_degree)
-    if kind == "phi_delta_q":
-        if q is None or delta is None:
-            raise ValueError("phi_delta_q requires q and delta")
-        return compose(phi_delta(delta), phi_q(q), check_degree=check_degree)
-    raise ValueError("unknown map kind %r" % kind)
+    if kind not in MAP_KINDS:
+        raise ValueError("unknown map kind %r" % kind)
+    needs, build = MAP_KINDS[kind]
+    args = [{"q": q, "delta": delta}[name] for name in needs]
+    if any(a is None for a in args):
+        raise ValueError("%s requires %s" % (kind, " and ".join(needs)))
+    return build(*args)
 
 
-def map_from_json(data: dict, *, check_degree: int = DEFAULT_CHECK_DEGREE) -> DeformMap:
-    kind = data["map"]
-    if kind == "compose":
-        return compose(
-            map_from_json(data["outer"], check_degree=check_degree),
-            map_from_json(data["inner"], check_degree=check_degree),
-            check_degree=check_degree,
-        )
-    return make_map(kind, q=data.get("q"), delta=data.get("delta"), check_degree=check_degree)
+def map_from_json(data: dict) -> DeformMap:
+    if data["map"] == "compose":
+        return compose(map_from_json(data["outer"]), map_from_json(data["inner"]))
+    return make_map(data["map"], q=data.get("q"), delta=data.get("delta"))
 
 
 # ---------------------------------------------------------------------------

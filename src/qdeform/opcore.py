@@ -457,10 +457,6 @@ class LinOp:
     def column(self, n: int):
         return self.columns[n]
 
-    def entry(self, i: int, j: int):
-        col = self.columns[j]
-        return None if col is None else col.coefficient(i)
-
     @property
     def valid_degrees(self):
         return tuple(n for n, col in enumerate(self.columns) if col is not None)
@@ -563,13 +559,13 @@ class LinOp:
         }
 
 
-def realize(e: OpExpr, D: int, *, allow_truncation: bool = False) -> LinOp:
+def realize(e: OpExpr, D: int) -> LinOp:
     """Tabulate e column by column; overflowing columns are marked None."""
     _require_natural(D)
     cols = []
     for n in range(D + 1):
         try:
-            cols.append(apply(e, Poly.monomial(n), D, allow_truncation=allow_truncation))
+            cols.append(apply(e, Poly.monomial(n), D))
         except DegreeOverflowError:
             cols.append(None)
     return LinOp(D, cols)

@@ -150,15 +150,15 @@ def suite_jackson(ctx: QContext, delta, D: int):
     ]
 
 
-def suite_rolle(ctx: QContext, delta, D: int, count: int = 30):
+def suite_rolle(ctx: QContext, delta, D: int):
     rng = random.Random(_SEED)
     ok = all(
-        rolle_check(random_poly(rng, max(1, min(12, D - 1))), ctx, D) for _ in range(count)
+        rolle_check(random_poly(rng, max(1, min(12, D - 1))), ctx, D) for _ in range(30)
     )
-    return [Check("quantum Rolle identity on %d random polynomials" % count, ok)]
+    return [Check("quantum Rolle identity on 30 random polynomials", ok)]
 
 
-def suite_intertwine(ctx: QContext, delta, D: int, count: int = 10):
+def suite_intertwine(ctx: QContext, delta, D: int):
     rng = random.Random(_SEED)
     words = [
         ("d", DERIV),
@@ -175,7 +175,7 @@ def suite_intertwine(ctx: QContext, delta, D: int, count: int = 10):
     checks = []
     for mname, m in maps:
         ok = True
-        for _ in range(count):
+        for _ in range(10):
             f = random_poly(rng, max(1, D - 3))
             for _, g in words:
                 ok = ok and intertwine_check(g, f, m, D)

@@ -552,3 +552,71 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "default 16" in out
         assert "default text" in out
+
+
+class TestMapChoices:
+    """`basis` and `project` take their map kinds from one table, in the
+    order the CLI always listed them."""
+
+    @pytest.mark.parametrize("command, arg", [("basis", "3"), ("project", "x")])
+    def test_invalid_map_lists_choices_in_order(self, capsys, command, arg):
+        code, out, err = run(capsys, command, "nope", arg)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "qdeform %s: error: argument map: invalid choice: 'nope' (choose from "
+            "'identity', 'phi_q', 'phi_delta', 'phi_q_prime', 'phi_q_delta', 'phi_delta_q')"
+            % command
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("basis", "identity", "3", "--delta", "1/0"),
+            ("project", "identity", "x", "--q", "1/0"),
+            ("basis", "phi_delta", "3", "--q", "1/0", "--delta", "1"),
+        ],
+    )
+    def test_unused_parameter_is_still_parsed(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: zero denominator in '1/0'\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("basis", "phi_q", "3"), "phi_q requires q"),
+            (("project", "phi_delta_q", "x", "--q", "1/2"), "phi_delta_q requires q and delta"),
+        ],
+    )
+    def test_missing_parameter(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+class TestRenderOnce:
+    """apply and project render their result in the requested format only."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, producer",
+        [
+            pytest.param(("apply", "exp(1/2*Dq)", "x^5", "--q", "9/10"), "apply", id="apply"),
+            pytest.param(
+                ("project", "phi_q_delta", "x^3", "--q", "1/2", "--delta", "1"),
+                "b_projection",
+                id="project",
+            ),
+        ],
+    )
+    def test_result_coefficients_read_once(self, capsys, monkeypatch, argv, producer, fmt):
+        import qdeform.cli
+        from qdeform.poly import Poly
+
+        results, reads = [], []
+        make = getattr(qdeform.cli, producer)
+        monkeypatch.setattr(
+            qdeform.cli, producer, lambda *a, **k: results.append(make(*a, **k)) or results[-1]
+        )
+        view = Poly.coeffs
+        monkeypatch.setattr(Poly, "coeffs", property(lambda p: reads.append(p) or view.fget(p)))
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+        assert len(results) == 1
+        assert sum(p is results[0] for p in reads) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeform.dsl import parse, pretty
+from qdeform.dsl import MAX_NESTING, parse, pretty
 from qdeform.errors import DslError, MathError, ParseError, SemanticError
 from qdeform.maps import dq_expr, s_expr, xq_expr
 from qdeform.opcore import (
@@ -235,3 +235,47 @@ class TestFuzz:
             parse(text, q=Q, delta=DELTA)
         except DslError:
             pass
+
+
+# One shape per kind of nesting, each `levels` deep along one path.
+_NESTED = {
+    "groups": lambda n: "(" * n + "d" + ")" * n,
+    "exp calls": lambda n: "exp(" * n + "d" + ")" * n,
+    "inv calls": lambda n: "inv(" * n + "B" + ")" * n,
+    "unclosed calls": lambda n: "exp(" * n,
+    "unary minus": lambda n: "(" + "-" * (n - 1) + "x)",
+    "powers": lambda n: "d" + "^1" * n,
+    "powers of a group": lambda n: "(d" + "^1" * (n // 2) + ")" + "^1" * (n - 1 - n // 2),
+    "powers of powers": lambda n: "exp(" + "d" + "^1" * (n - 2) + ")^1",
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", list(_NESTED))
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
+    def test_too_deep_is_a_located_parse_error(self, shape, levels):
+        with pytest.raises(ParseError) as err:
+            parse(_NESTED[shape](levels), q=Q)
+        assert re.fullmatch(r"1:\d+: nesting deeper than 100 levels", str(err.value))
+
+    @pytest.mark.parametrize("shape", [s for s in _NESTED if s != "unclosed calls"])
+    def test_at_the_limit_parses_and_evaluates(self, shape):
+        e = parse(_NESTED[shape](MAX_NESTING), q=Q)
+        try:
+            apply(e, Poly.x(), 4)
+        except MathError:  # exp(exp(d)) does not terminate; a clean error is fine
+            pass
+        assert pretty(e)
+
+    @pytest.mark.parametrize("shape", list(_NESTED))
+    @pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1, 3000])
+    def test_cli_exit_codes(self, capsys, shape, levels):
+        from qdeform.cli import main
+
+        code = main(["apply", _NESTED[shape](levels), "x", "--q", "1/2"])
+        out, err = capsys.readouterr()
+        if levels > MAX_NESTING or shape == "unclosed calls":
+            assert (code, out) == (2, "")
+            assert err.startswith("error: 1:") and err.count("\n") == 1
+        else:  # exit 3 is exp(exp(d)), which does not terminate
+            assert (code, err.count("\n")) in ((0, 0), (3, 1))

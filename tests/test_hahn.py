@@ -20,7 +20,7 @@ from qdeform.hahn import (
     table_rows,
 )
 from qdeform.maps import b_projection, phi_q
-from qdeform.opcore import apply, realize_exact
+from qdeform.opcore import DERIV, IntPow, apply, op_sum, realize_exact
 from qdeform.poly import FallingFactorial, Poly
 from qdeform.qnum import QContext
 from qdeform.verify import random_poly
@@ -281,3 +281,20 @@ class TestDiagonalGate:
         monkeypatch.setattr(qdeform.hahn, "eigenvalue", lambda params, k: Fraction(k))
         with pytest.raises(MathError):
             eigenpolynomials(HahnVariant.CONTINUOUS, PARAMS, 3, 8)
+
+
+class TestBandGate:
+    """The eigenpolynomial solve assumes band (-1, 0) on monomials and must
+    refuse a source operator that leaves it."""
+
+    @pytest.mark.parametrize("variant", [HahnVariant.CONTINUOUS, HahnVariant.Q_SPECTRUM])
+    def test_extra_lowering_term_names_its_column(self, monkeypatch, variant):
+        source = qdeform.hahn.build
+        monkeypatch.setattr(
+            qdeform.hahn,
+            "build",
+            lambda v, params, ctx=None: op_sum(source(v, params, ctx), IntPow(DERIV, 2)),
+        )
+        ctx = ctx_for(Fraction(1, 2)) if variant == HahnVariant.Q_SPECTRUM else None
+        with pytest.raises(MathError, match=r"^realized column 2 lies outside the band"):
+            eigenpolynomials(variant, PARAMS, 3, 8, ctx)

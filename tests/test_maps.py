@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import DELTA_GRID, Q_GRID, small_rationals
 from qdeform.errors import MapConstructionError, UnsupportedBasisOperationError
 from qdeform.maps import (
+    MAP_KINDS,
     DeformMap,
     adapted_basis,
     b_projection,
@@ -563,13 +564,11 @@ class TestSharedMaps:
         assert compose(phi_q(half), phi_delta(1)) is make_map("phi_q_delta", q=half, delta=1)
         m = compose(phi_delta(1), phi_q(half))
         assert map_from_json(m.to_json()) is m
-        # check_degree is part of the key
-        assert phi_q(half, check_degree=8) is not phi_q(half)
 
     def test_unkeyed_maps_are_fresh(self):
         f = lambda n: Fraction(n + 1)
         assert fb_map("f", f) is not fb_map("f", f)
-        direct = DeformMap("identity", "identity", DERIV, COORD, check_degree=8)
+        direct = DeformMap("identity", "identity", DERIV, COORD)
         assert direct is not identity_map()
         assert compose(phi_q(Fraction(1, 2)), direct) is not compose(phi_q(Fraction(1, 2)), direct)
 
@@ -589,10 +588,10 @@ class TestSharedMaps:
 
     def test_memo_is_bounded(self, fresh_memo):
         maps = fresh_memo
-        built = [phi_delta(Fraction(1, n), check_degree=2) for n in range(2, 2 + 2 * maps._MEMO_SIZE)]
+        built = [phi_delta(Fraction(1, n)) for n in range(2, 2 + 2 * maps._MEMO_SIZE)]
         assert len(maps._memo) <= maps._MEMO_SIZE
-        assert phi_delta(Fraction(1, 2), check_degree=2) is not built[0]  # evicted, rebuilt
-        assert phi_delta(Fraction(1, 2), check_degree=2).label == built[0].label
+        assert phi_delta(Fraction(1, 2)) is not built[0]  # evicted, rebuilt
+        assert phi_delta(Fraction(1, 2)).label == built[0].label
 
     def test_concurrent_builds_agree(self, fresh_memo):
         import sys
@@ -626,3 +625,45 @@ class TestSharedMaps:
         reference = results[0][1]
         assert all(basis == reference for _, basis in results)
         assert reference[2] == (Poly.x() * (Poly.x() - Poly([delta]))).scale(Fraction(2) / (1 + q))
+
+
+class TestMapKinds:
+    # written out, so the table is checked against the messages it replaced
+    NEEDS = {
+        "identity": (),
+        "phi_q": ("q",),
+        "phi_delta": ("delta",),
+        "phi_q_prime": ("q",),
+        "phi_q_delta": ("q", "delta"),
+        "phi_delta_q": ("q", "delta"),
+    }
+    MISSING = {
+        "phi_q": "phi_q requires q",
+        "phi_delta": "phi_delta requires delta",
+        "phi_q_prime": "phi_q_prime requires q",
+        "phi_q_delta": "phi_q_delta requires q and delta",
+        "phi_delta_q": "phi_delta_q requires q and delta",
+    }
+
+    def test_kinds_in_order(self):
+        assert list(MAP_KINDS) == list(self.NEEDS)
+
+    @pytest.mark.parametrize("kind", list(MAP_KINDS))
+    def test_each_missing_parameter_is_named(self, kind):
+        given = {"q": Fraction(1, 2), "delta": Fraction(1, 3)}
+        needs = self.NEEDS[kind]
+        assert make_map(kind, **{p: given[p] for p in needs}).kind in (kind, "compose")
+        for left_out in needs:
+            with pytest.raises(ValueError) as err:
+                make_map(kind, **{p: given[p] for p in needs if p != left_out})
+            assert str(err.value) == self.MISSING[kind]
+        if needs:
+            with pytest.raises(ValueError) as err:
+                make_map(kind)
+            assert str(err.value) == self.MISSING[kind]
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError) as err:
+            make_map("x", q=Fraction(1, 2))
+        assert str(err.value) == "unknown map kind 'x'"
+        assert make_map("phi-q", q=Fraction(1, 2)) is phi_q(Fraction(1, 2))
