@@ -182,7 +182,7 @@ def _subdiagonal(lin: LinOp, eigvals) -> list:
     """s_n of each column x^n -> lambda_n x^n + s_n x^(n-1); others raise."""
     sub = []
     for n, (col, lam) in enumerate(zip(lin.columns, eigvals)):
-        if col is None or col.degree > n or (n > 1 and not col.truncated(n - 2).is_zero):
+        if col is None or col.degree > n or not col.truncated(n - 2).is_zero:
             raise MathError("realized column %d lies outside the band (-1, 0)" % n)
         got = col.coefficient(n)
         if got != lam:

@@ -38,8 +38,9 @@ sees a partly built one. ``fb_map`` (a user callable has no structural key)
 and ``DeformMap(...)`` itself always build a fresh map.
 
 Maps are immutable: assigning a public attribute raises AttributeError. The
-adapted-basis cache grows in place under its own lock with deterministic
-entries, so concurrent reads see values identical to a single-threaded run.
+adapted-basis cache and the dual rows of the map's spectral diagonals grow
+in place under its own lock with deterministic entries, so concurrent reads
+see values identical to a single-threaded run.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .opcore import (
     OpExpr,
     apply,
     dbracket_diag,
+    memoized,
     gamma_ratio_diag,
     op_prod,
     op_sum,
@@ -150,7 +152,8 @@ class DeformMap:
 
     __slots__ = (
         "kind", "label", "image_a", "image_b", "q", "delta", "relation_q",
-        "preserves_degree", "outer", "inner", "_key", "_basis", "_basis_lock",
+        "preserves_degree", "outer", "inner", "_key", "_basis", "_dual_rows",
+        "_basis_lock",
     )
 
     def __init__(
@@ -179,7 +182,10 @@ class DeformMap:
         self.inner = inner
         self._key = None  # set by _shared on the one instance of a named map
         self._basis = [Poly.one()]
-        self._basis_lock = threading.Lock()
+        # x^k in the adapted basis, for the spectral diagonals this map owns
+        self._dual_rows = []
+        # reentrant: extending the rows reads basis elements, which may extend
+        self._basis_lock = threading.RLock()
         self._validate(CHECK_DEGREE)
 
     def __setattr__(self, name, value):
@@ -307,26 +313,16 @@ _memo_lock = threading.Lock()
 def _shared(key: Optional[tuple], build: Callable[[], DeformMap]) -> DeformMap:
     """The one map for key, made by build() and validated on first use; a
     hit does no work beyond the lookup, and key None always builds afresh.
-
-    The build runs outside the lock (it may build other shared maps); a map
-    is published only once complete, and racing builders all return the
-    first one published.
-    """
+    A map is published only once complete (see opcore.memoized)."""
     if key is None:
         return build()
-    with _memo_lock:
-        m = _memo.get(key)
-        if m is not None:
-            _memo.move_to_end(key)
-            return m
-    m = build()
-    m._key = key
-    with _memo_lock:
-        m = _memo.setdefault(key, m)
-        _memo.move_to_end(key)
-        if len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    return m
+
+    def build_keyed():
+        m = build()
+        m._key = key
+        return m
+
+    return memoized(_memo, _memo_lock, _MEMO_SIZE, key, build_keyed)
 
 
 def identity_map() -> DeformMap:
@@ -491,7 +487,7 @@ def b_projection(f: Poly, m: DeformMap, D: int) -> Poly:
         raise UnsupportedBasisOperationError("projection input must be monomial-basis")
     if f.degree > D:
         raise ValueError("series degree %d exceeds truncation %d" % (f.degree, D))
-    return Poly._lincomb((c, m.basis_element(n)) for n, c in enumerate(f.coeffs) if c)
+    return Poly._lincomb(((c, m.basis_element(n)) for n, c in enumerate(f._num) if c), f._den)
 
 
 def intertwine_check(G: OpExpr, f: Poly, m: DeformMap, D: int) -> bool:

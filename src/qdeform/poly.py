@@ -315,15 +315,16 @@ class Poly:
         return Poly._make([n * c for n, c in enumerate(self._num)][1:], self._den)
 
     def truncated(self, degree: int) -> "Poly":
-        """Drop all coefficients above the given degree."""
-        return Poly._make(self._num[: degree + 1], self._den, self.basis)
+        """Drop all coefficients above the given degree; below 0, zero."""
+        return Poly._make(self._num[: max(degree + 1, 0)], self._den, self.basis)
 
     # -- fraction-free kernels for operator action (monomial basis) -------
 
     @classmethod
-    def _lincomb(cls, terms) -> "Poly":
-        """sum c * p over the (c, p) pairs of monomial-basis terms, with int or
-        Fraction c, over one common denominator and reduced once."""
+    def _lincomb(cls, terms, div=1) -> "Poly":
+        """(sum c * p) / div over the (c, p) pairs of monomial-basis terms,
+        with int or Fraction c and a nonzero int div, over one common
+        denominator and reduced once."""
         parts = [(c.numerator, c.denominator * p._den, p._num) for c, p in terms if c and p._num]
         den = math.lcm(*[d for _, d, _ in parts])
         out = [0] * max([len(num) for _, _, num in parts], default=0)
@@ -331,7 +332,7 @@ class Poly:
             f = a * (den // d)
             for i, x in enumerate(num):
                 out[i] += f * x
-        return cls._make(out, den)
+        return cls._make(out, den * div)
 
     def _times_x(self) -> "Poly":
         """x * p in the monomial basis."""

@@ -31,11 +31,13 @@ def rng():
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty map memo for one test, so its builds neither see nor evict
-    the maps other tests share."""
+    """An empty map memo and realization memo for one test, so its builds
+    neither see nor evict the maps and realizations other tests share, and a
+    perturbed ingredient is never answered from a stale realization."""
     from collections import OrderedDict
 
-    from qdeform import maps
+    from qdeform import maps, opcore
 
     monkeypatch.setattr(maps, "_memo", OrderedDict())
+    monkeypatch.setattr(opcore, "_realized", OrderedDict())
     return maps

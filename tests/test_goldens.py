@@ -2,14 +2,25 @@
 values carry large denominators (q = 9/10, D up to 40). The digests were
 taken before polynomials moved to integer numerators over one common
 denominator (the phi_q_delta digest: before exp(h G d) became the
-conjugated Taylor shift); any change in a printed value, its order or its
-spelling changes them."""
+conjugated Taylor shift; the degree-40 projection and the q = 1/3 verify:
+before spectral diagonals read cached dual-basis rows and realizations were
+memoized); any change in a printed value, its order or its spelling
+changes them."""
 
 import hashlib
 
 import pytest
 
 from qdeform.cli import main
+
+# a fixed degree-40 polynomial with small rational coefficients
+POLY_40 = (
+    "3*x^40-1*x^39+2*x^37-3*x^36+1/4*x^35+5/3*x^34-1*x^33+2*x^32-5/4*x^31"
+    "-1/3*x^30+3/2*x^29-4*x^28+4/3*x^26-3/2*x^25+1*x^24+5/4*x^23-2/3*x^22"
+    "+1*x^21-5*x^20-1/4*x^19+1*x^18-2*x^17+1*x^15-1*x^14+1/2*x^13+5*x^12"
+    "-1/2*x^11+2/3*x^10-5/2*x^9-1*x^8+3/4*x^7-4/3*x^6+4*x^4-3/4*x^3+1/3*x^2"
+    "+5/2*x-2"
+)
 
 GOLDENS = [
     pytest.param(
@@ -38,6 +49,18 @@ GOLDENS = [
         ["verify", "all", "--q=-9/10", "--delta=3/2", "--degree", "16"],
         "cada90053b48beff603b49e6c4c64de5527be8528b24b4db2bda59af6369e839",
         id="verify",
+    ),
+    pytest.param(
+        # |0>..|40> of phi_delta_q apply qb(B) in phi_delta's adapted basis
+        ["project", "phi_delta_q", POLY_40, "--q=9/10", "--delta=1/2", "--degree", "40"],
+        "ce4cbec2df5720ce440fe40134eda1f340256207d0654a8e6952885c04f2e8a7",
+        id="project",
+    ),
+    pytest.param(
+        # a small-denominator q, where suites realize the constructors' checks again
+        ["verify", "all", "--q=1/3", "--delta=-1/2", "--degree", "16"],
+        "0437d4fa4520beac2668accbc69f1af4b716fa6645ce5e527bf5fbb5f1531a54",
+        id="verify-small-q",
     ),
 ]
 

@@ -277,6 +277,16 @@ class TestProjection:
             expect = expect + falling_poly(n, delta).scale(Fraction(1, factorial(n)))
         assert projected == expect
 
+    def test_matches_fraction_sum_on_large_denominators(self):
+        m = compose(phi_delta(Fraction(1, 2)), phi_q(Fraction(9, 10)))
+        f = Poly([Fraction(k - 7, 3 * k + 2) for k in range(21)])
+        expect = [Fraction(0)] * 21
+        for n, c in enumerate(f.coeffs):
+            for i, b in enumerate(m.basis_element(n).coeffs):
+                expect[i] += c * b
+        assert b_projection(f, m, 20) == Poly(expect)
+        assert b_projection(Poly.zero(), m, 20) == Poly.zero()
+
     def test_coordinate_fixed(self):
         for m in (
             identity_map(),

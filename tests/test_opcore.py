@@ -10,6 +10,7 @@ from qdeform import opcore
 from qdeform.cli import main
 from qdeform.dsl import parse
 from qdeform.errors import (
+    BasisMismatchError,
     DegreeOverflowError,
     EmptyWindowError,
     NonterminatingExponentialError,
@@ -510,7 +511,149 @@ class TestBounds:
         assert peak_raise(ExpOp(scaled(-1, DERIV))) == 0
 
 
+def ref_basis_apply(vals, basis, inverse, p):
+    """The elimination the dual rows replace: read the component along
+    basis[n] at the remainder's top degree n, remove it, repeat; then weight
+    each component by vals[n] (divide when inverse). Plain Fractions."""
+    rem = list(p.coeffs)
+    out = [Fraction(0)] * len(rem)
+    while True:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return Poly(out)
+        n = len(rem) - 1
+        bn = basis[n].coeffs
+        c = rem[n] / bn[n]
+        w = c / vals[n] if inverse else c * vals[n]
+        for i, b in enumerate(bn):
+            rem[i] -= c * b
+            out[i] += w * b
+
+
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def triangular_cases(draw):
+    """(basis, eigenvalues, p): basis[n] of exact degree n with a nonzero,
+    usually non-monic, rational leading coefficient; nonzero eigenvalues;
+    p of degree at most N, the zero polynomial included."""
+    N = draw(st.integers(0, 6))
+    basis = [
+        Poly(draw(st.lists(small_rationals, min_size=n, max_size=n)) + [draw(nonzero_rationals)])
+        for n in range(N + 1)
+    ]
+    vals = draw(st.lists(nonzero_rationals, min_size=N + 1, max_size=N + 1))
+    return basis, vals, Poly(draw(st.lists(small_rationals, max_size=N + 1)))
+
+
 class TestBasisDiag:
+    @given(case=triangular_cases(), inverse=st.booleans())
+    @settings(max_examples=60)
+    def test_matches_top_down_elimination(self, case, inverse):
+        basis, vals, p = case
+        bd = DiagFn("g", vals.__getitem__, basis=basis.__getitem__, inverse=inverse)
+        assert opcore._basis_apply(bd, p) == ref_basis_apply(vals, basis, inverse, p)
+
+    def test_zero_polynomial(self):
+        basis = [Poly.one(), Poly([1, 2]), Poly([0, 1, Fraction(-3, 2)])]
+        for inverse in (False, True):
+            bd = DiagFn("g", lambda n: Fraction(0), basis=basis.__getitem__, inverse=inverse)
+            assert opcore._basis_apply(bd, Poly.zero()) == Poly.zero()
+
+    def test_rows_are_kept_on_the_owner(self, fresh_memo):
+        m = fresh_memo.phi_delta(Fraction(1, 3))
+        vals = [Fraction(n + 1, 2) for n in range(10)]
+        bd = DiagFn("g", vals.__getitem__, basis=m.basis_element, owner=m)
+        basis = [m.basis_element(n) for n in range(10)]
+        p = Poly([Fraction(k - 4, k + 1) for k in range(8)])
+        assert opcore._basis_apply(bd, p) == ref_basis_apply(vals, basis, False, p)
+        rows = list(m._dual_rows)
+        assert len(rows) == 8
+        assert opcore._basis_apply(bd, p.truncated(5)) == ref_basis_apply(vals, basis, False, p.truncated(5))
+        assert m._dual_rows == rows  # read, not rebuilt
+        q = Poly([1, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(2, 3)])
+        assert opcore._basis_apply(DiagInv(bd), q) == ref_basis_apply(vals, basis, True, q)
+        assert len(m._dual_rows) == 10 and m._dual_rows[:8] == rows
+
+    def test_perturbed_dual_row_is_caught(self, fresh_memo):
+        m = fresh_memo.phi_delta(Fraction(1, 3))
+        vals = [Fraction(n + 1) for n in range(4)]
+        bd = DiagFn("g", vals.__getitem__, basis=m.basis_element, owner=m)
+        basis = [m.basis_element(n) for n in range(4)]
+        p = Poly([1, -2, 3, Fraction(1, 2)])
+        expected = ref_basis_apply(vals, basis, False, p)
+        assert opcore._basis_apply(bd, p) == expected
+        m._dual_rows[2] = m._dual_rows[2] + Poly.monomial(1, Fraction(1, 5))
+        assert opcore._basis_apply(bd, p) != expected
+
+    def test_concurrent_applications_share_one_set_of_rows(self, fresh_memo):
+        import sys
+        import threading
+
+        m = fresh_memo.phi_delta(Fraction(2, 7))
+        vals = [Fraction(n + 3, n + 1) for n in range(14)]
+        bd = DiagFn("g", vals.__getitem__, basis=m.basis_element, owner=m)
+        basis = [m.basis_element(n) for n in range(14)]
+        polys = [Poly([Fraction(k + i, 2 * k + 1) for k in range(i + 1)]) for i in range(14)]
+        expected = [ref_basis_apply(vals, basis, False, p) for p in polys]
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def worker(i):
+            try:
+                barrier.wait(timeout=30)
+                order = list(range(14))[:: -1 if i % 2 else 1]
+                results[i] = {n: opcore._basis_apply(bd, polys[n]) for n in order}
+            except Exception as exc:  # pragma: no cover - diagnostic only
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert all([r[n] for n in range(14)] == expected for r in results)
+        assert m._dual_rows == opcore._extend_dual_rows(bd, [], 13)
+
+    def test_wrong_degree_element_names_the_lowest(self):
+        # the rows are built upwards through the input's degree: the lowest
+        # bad element is reported, also where the input has no component
+        basis = [Poly.monomial(n) for n in range(6)]
+        basis[2], basis[4] = Poly.monomial(1), Poly.monomial(3)
+        bd = DiagFn("bad", lambda n: Fraction(1), basis=basis.__getitem__)
+        with pytest.raises(SingularOperatorError) as err:
+            apply(bd, Poly([0, 0, 1, 0, 1]), 5)
+        assert str(err.value) == "bad: basis element 2 has degree 1"
+        with pytest.raises(SingularOperatorError) as err:
+            apply(bd, Poly.monomial(3), 5)
+        assert str(err.value) == "bad: basis element 2 has degree 1"
+
+    def test_falling_basis_element_is_a_mismatch(self):
+        basis = [Poly.one(), Poly.falling_element(1, 1)]
+        bd = DiagFn("g", lambda n: Fraction(2), basis=basis.__getitem__)
+        with pytest.raises(BasisMismatchError) as err:
+            apply(bd, Poly.x(), 2)
+        assert str(err.value) == "basis mismatch: Monomial() vs FallingFactorial(delta=Fraction(1, 1))"
+
+    def test_singular_inverse_names_the_lowest_zero(self):
+        # weights are taken from the lowest component up
+        basis = [Poly([1] * (n + 1)) for n in range(6)]
+        g = DiagFn("g", lambda n: Fraction(n % 2), basis=basis.__getitem__)
+        with pytest.raises(SingularOperatorError) as err:
+            apply(DiagInv(g), basis[4] + basis[2].scale(3), 5)
+        assert str(err.value) == "inv(g) hit eigenvalue 0 at occupied degree 2"
+        # zero eigenvalues at unoccupied degrees are harmless
+        p = basis[3] + basis[1].scale(3)
+        assert apply(DiagInv(g), p, 5) == p
+
     def test_monomial_basis_reduces_to_diagfn(self):
         bd = DiagFn("n+1", lambda n: Fraction(n + 1), basis=lambda n: Poly.monomial(n))
         assert realize_exact(bd, 6) == realize_exact(B_DIAG, 6)
@@ -530,6 +673,77 @@ class TestBasisDiag:
         bd = DiagFn("g", lambda n: Fraction(n + 1), basis=lambda n: basis[n])
         p = basis[2].scale(3)
         assert apply(DiagInv(bd), p, 4) == basis[2]
+
+
+class TestRealizationMemo:
+    def test_hit_returns_the_same_linop(self, fresh_memo):
+        first = realize_exact(op_prod(DERIV, COORD), 8)
+        assert realize_exact(op_prod(DERIV, COORD), 8) is first  # equal, not identical, key
+        assert realize_exact(op_prod(DERIV, COORD), 9) is not first
+        assert realize_exact(op_prod(COORD, DERIV), 8) != first
+
+    def test_shared_linop_is_read_only(self, fresh_memo):
+        lin = realize_exact(op_prod(DERIV, COORD), 4)
+        with pytest.raises(AttributeError):
+            lin.D = 3
+        with pytest.raises(AttributeError):
+            lin.columns = ()
+        with pytest.raises(AttributeError):
+            del lin.columns
+        assert realize_exact(op_prod(DERIV, COORD), 4).D == 4
+
+    def test_memo_is_bounded(self, fresh_memo):
+        size = opcore._REALIZED_SIZE
+        lins = [realize_exact(scaled(k, COORD), 4) for k in range(2, 2 + 2 * size)]
+        assert len(opcore._realized) == size
+        assert realize_exact(scaled(1 + 2 * size, COORD), 4) is lins[-1]
+        again = realize_exact(scaled(2, COORD), 4)  # evicted, recomputed
+        assert again is not lins[0] and again == lins[0]
+        assert len(opcore._realized) == size
+
+    def test_maps_with_different_f_never_share(self, fresh_memo):
+        square = fresh_memo.fb_map("f", lambda n: Fraction(n * n))
+        cube = fresh_memo.fb_map("f", lambda n: Fraction(n**3))
+        assert realize_exact(square.image_b, 6) != realize_exact(cube.image_b, 6)
+        # the same f twice still gives fresh nodes, so separate entries
+        f = lambda n: Fraction(n + 2)
+        a, b = fresh_memo.fb_map("f", f), fresh_memo.fb_map("f", f)
+        ra, rb = realize_exact(a.image_b, 6), realize_exact(b.image_b, 6)
+        assert ra == rb and ra is not rb
+
+    def test_concurrent_calls_agree(self, fresh_memo):
+        import sys
+        import threading
+
+        ctx = ctx_for(Fraction(7, 13))
+        qb = dbracket_diag(ctx, 1)
+        e = op_sum(op_prod(DiagInv(qb), DERIV, COORD, qb), scaled(-1, op_prod(COORD, qb, DERIV)))
+        reference = realize_exact(e, 14)
+        opcore._realized.clear()
+        barrier = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def worker(i):
+            try:
+                barrier.wait(timeout=30)
+                results[i] = realize_exact(e, 14)
+            except Exception as exc:  # pragma: no cover - diagnostic only
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert all(r == reference for r in results)
+        assert len({id(r) for r in results}) == 1  # the first published is shared
+        assert list(opcore._realized.values()) == [results[0]]
 
 
 class TestPseudodifferentialForm:

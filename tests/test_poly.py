@@ -378,11 +378,40 @@ class TestKernelOracles:
             assert_canonical(w)
             assert w == p and hash(w) == hash(p)
 
+    @given(p=kernel_polys, degree=st.integers(-10, 30))
+    def test_truncated_at_any_degree(self, p, degree):
+        assert_matches(p.truncated(degree), p.coeffs[: max(degree + 1, 0)])
+
+    @given(
+        terms=st.lists(
+            st.tuples(st.one_of(big_rationals, st.integers(-9, 9)), kernel_polys), max_size=4
+        ),
+        div=st.integers(-(10**6), 10**6).filter(bool),
+    )
+    def test_lincomb(self, terms, div):
+        ref = []
+        for c, p in terms:
+            ref = ref_add(ref, ref_scale(p.coeffs, c))
+        assert_matches(Poly._lincomb(terms, div), [Fraction(x, div) for x in ref])
+
     def test_adapted_basis_is_canonical(self):
         for n in range(25):
             assert_canonical(_adapted(n))
         # the denominators really are large
         assert _adapted(24)._den.bit_length() > 200
+
+
+class TestTruncatedBelowZero:
+    @pytest.mark.parametrize("degree", [-1, -2, -3, -10])
+    def test_gives_zero_in_the_same_basis(self, degree):
+        falling = FallingFactorial(Fraction(1, 2))
+        for p in (Poly([1, 2, 3]), Poly([Fraction(1, 3), 5], falling), Poly.zero()):
+            t = p.truncated(degree)
+            assert_canonical(t)
+            assert t.is_zero and t == Poly.zero(p.basis)
+
+    def test_degree_zero_keeps_the_constant(self):
+        assert Poly([1, 2, 3]).truncated(0) == Poly.one()
 
 
 class TestConstructors:
