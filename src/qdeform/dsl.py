@@ -19,7 +19,8 @@ noncommutative operator product and is left-associative. ``qb``/``qn``/
 positions ("line:col: message"). ``poly(...)`` admits only x and rationals
 and is only legal as the entire input.
 
-The printer emits a canonical form whose reparse acts identically on every
+``pretty`` prints an expression through its nodes' own canonical text
+(see ``opcore.Op``), a form whose reparse acts identically on every
 monomial; printing a parse is idempotent on the text.
 """
 
@@ -37,7 +38,6 @@ from .opcore import (
     COORD,
     Coord,
     DERIV,
-    Deriv,
     DiagFn,
     DiagInv,
     ExpOp,
@@ -310,13 +310,8 @@ class _Parser:
 def _built_from(e: OpExpr, leaves) -> bool:
     """True when e combines only nodes of the kinds in leaves by scaling,
     sums, products and powers."""
-    if isinstance(e, Scaled):
-        return _built_from(e.op, leaves)
-    if isinstance(e, IntPow):
-        return _built_from(e.base, leaves)
-    if isinstance(e, (OpSum, OpProd)):
-        parts = e.terms if isinstance(e, OpSum) else e.factors
-        return all(_built_from(t, leaves) for t in parts)
+    if isinstance(e, (Scaled, OpSum, OpProd, IntPow)):
+        return all(_built_from(c, leaves) for c in e.children)
     return isinstance(e, leaves)
 
 
@@ -343,8 +338,6 @@ def parse(text: str, *, q=None, delta=None):
 # Printer
 # ---------------------------------------------------------------------------
 
-_SUM, _PROD, _POW, _ATOM = 0, 1, 2, 3
-
 
 def pretty(e: Union[OpExpr, Poly]) -> str:
     """Canonical text. Reparsing acts identically on all monomials; printing
@@ -354,58 +347,4 @@ def pretty(e: Union[OpExpr, Poly]) -> str:
         if e.basis != MONOMIAL:
             raise ValueError("falling-basis polynomials have no literal form")
         return "poly(%s)" % e.to_text()
-    return _render(e, _SUM)
-
-
-def _intrinsic(e: OpExpr) -> int:
-    """How tightly a node's rendering binds (leading minus binds loosest)."""
-    if isinstance(e, OpSum):
-        return _SUM
-    if isinstance(e, OpProd):
-        return _PROD
-    if isinstance(e, Scaled):
-        if e.c < 0:
-            return _SUM
-        return _ATOM if isinstance(e.op, Ident) else _PROD
-    if isinstance(e, IntPow):
-        return _POW
-    return _ATOM
-
-
-def _render(e: OpExpr, level: int) -> str:
-    text = _render_bare(e)
-    if _intrinsic(e) < level:
-        return "(%s)" % text
-    return text
-
-
-def _render_bare(e: OpExpr) -> str:
-    if isinstance(e, Coord):
-        return "x"
-    if isinstance(e, Deriv):
-        return "d"
-    if isinstance(e, Ident):
-        return "1"
-    if isinstance(e, DiagFn):
-        return "inv(%s)" % e.name if e.inverse else e.name
-    if isinstance(e, ExpOp):
-        return "exp(%s)" % _render(e.arg, _SUM)
-    if isinstance(e, IntPow):
-        return "%s^%d" % (_render(e.base, _POW), e.n)
-    if isinstance(e, Scaled):
-        if isinstance(e.op, Ident):
-            return str(e.c)
-        if e.c == -1:
-            return "-%s" % _render(e.op, _POW)
-        return "%s*%s" % (e.c, _render(e.op, _POW))
-    if isinstance(e, OpProd):
-        return "*".join(_render(f, _PROD) for f in e.factors)
-    if isinstance(e, OpSum):
-        parts = []
-        for i, t in enumerate(e.terms):
-            txt = _render(t, _SUM)
-            if i and not txt.startswith("-"):
-                parts.append("+")
-            parts.append(txt)
-        return "".join(parts)
-    raise TypeError("cannot print %r" % (e,))
+    return e.text

@@ -59,14 +59,11 @@ from .errors import (
 )
 from .opcore import (
     COORD,
-    Coord,
     DERIV,
-    Deriv,
     DiagFn,
     DiagInv,
     ExpOp,
     IDENT,
-    Ident,
     LinOp,
     OpExpr,
     apply,
@@ -225,6 +222,8 @@ class DeformMap:
             raise UnsupportedBasisOperationError(
                 "%s: adapted bases require a CCR-preserving map" % self.label
             )
+        if n < 0:
+            raise ValueError("basis index %d is negative" % n)
         if len(self._basis) > n:
             return self._basis[n]
         with self._basis_lock:
@@ -256,33 +255,30 @@ class DeformMap:
         return substitute(e, self._image_leaf)
 
     def _image_leaf(self, e: OpExpr) -> OpExpr:
-        if isinstance(e, Coord):
-            return self.image_b
-        if isinstance(e, Deriv):
-            return self.image_a
-        if isinstance(e, Ident):
-            return e
-        if isinstance(e, DiagFn):
-            if e.basis is not None:
-                if not isinstance(e.owner, DeformMap):
-                    raise UnsupportedCompositionError(
-                        "%s: basis-diagonal node without an owning map" % self.label
-                    )
-                owner = compose(self, e.owner)
-            elif self.preserves_degree:
-                return e
-            elif self.is_ccr:
-                # g(A) becomes g of the deformed degree operator, which is
-                # diagonal in this map's adapted basis with spectrum n.
-                owner = self
-            else:
+        if not isinstance(e, DiagFn):
+            generators = {COORD: self.image_b, DERIV: self.image_a, IDENT: IDENT}
+            if e not in generators:
+                raise UnsupportedCompositionError("cannot substitute into %r" % (e,))
+            return generators[e]
+        if e.basis is not None:
+            if not isinstance(e.owner, DeformMap):
                 raise UnsupportedCompositionError(
-                    "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
+                    "%s: basis-diagonal node without an owning map" % self.label
                 )
-            return replace(
-                e, name="%s@%s" % (e.name, owner.label), basis=owner.basis_element, owner=owner
+            owner = compose(self, e.owner)
+        elif self.preserves_degree:
+            return e
+        elif self.is_ccr:
+            # g(A) becomes g of the deformed degree operator, which is
+            # diagonal in this map's adapted basis with spectrum n.
+            owner = self
+        else:
+            raise UnsupportedCompositionError(
+                "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
             )
-        raise UnsupportedCompositionError("cannot substitute into %r" % (e,))
+        return replace(
+            e, name="%s@%s" % (e.name, owner.label), basis=owner.basis_element, owner=owner
+        )
 
     def to_json(self) -> dict:
         if self.kind == "compose":

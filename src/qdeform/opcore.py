@@ -10,14 +10,17 @@ it houses A = x d/dx, B = 1+A, {A}, [[B]], q^A and the similarity
 diagonal; in a map's adapted basis it is g of the deformed degree
 operator, which is how such functions are evaluated spectrally.
 
+Each node kind owns its action, degree bounds, children and canonical text
+(see ``Op``); ``apply``, the bounds, ``substitute`` and ``dsl.pretty`` walk
+the AST through them alone.
+
 Evaluation is by action, not by symbolic rewriting: vacuum-ordering
 semantics coincide with left action on polynomials, and action is exact and
 terminating. ``apply`` works at an explicit truncation degree D and raises
-on overflow unless told to truncate, so identity checks are never silently
-corrupted. ``realize`` tabulates the action as a degree-banded matrix;
-``realize_exact`` inflates the working degree by the expression's peak
-degree-raise so boundary columns come out exact, and commutators are
-realized through it.
+on overflow, so identity checks are never silently corrupted. ``realize``
+tabulates the action as a degree-banded matrix; ``realize_exact`` inflates
+the working degree by the expression's peak degree-raise so boundary
+columns come out exact, and commutators are realized through it.
 
 An exponential exp(h G d), G a monomial-basis diagonal after d, is applied
 without its series: G d = U^-1 d U for the diagonal U with
@@ -59,11 +62,28 @@ from .errors import (
 from .poly import MONOMIAL, Poly
 from .qnum import QContext, rational
 
+# How tightly a node's text binds, loosest first: "^" binds tighter than
+# "*", which binds tighter than "+"/"-" (a leading minus binds loosest).
+_SUM, _PROD, _POW, _ATOM = 0, 1, 2, 3
+
 
 class Op:
-    """Mixin giving operator expressions arithmetic sugar."""
+    """Base of the node kinds, with arithmetic sugar. Each kind defines
+    act(p, D), the exact image of p on the degree-<=D space; bounds, (net,
+    peak) as an upper bound on the total degree shift and the largest
+    intermediate raise along the action path (math.inf for exponentials of
+    raising operators); children, () for a leaf, with rebuild(children)
+    giving the same kind over new ones; and text, its canonical DSL form,
+    with binding, how tightly that text binds."""
 
     __slots__ = ()
+
+    children = ()
+    binding = _ATOM
+
+    def text_at(self, level: int) -> str:
+        """text, parenthesized when it binds looser than level."""
+        return "(%s)" % self.text if self.binding < level else self.text
 
     def __add__(self, other):
         return op_sum(self, as_op(other))
@@ -100,15 +120,35 @@ class Op:
 class Coord(Op):
     """Multiplication by the coordinate: p(x) -> x p(x)."""
 
+    bounds = (1, 1)
+    text = "x"
+
+    def act(self, p: Poly, D: int) -> Poly:
+        if p.degree + 1 > D:
+            raise DegreeOverflowError("x raises degree %d past truncation %d" % (p.degree, D))
+        return p._times_x()
+
 
 @dataclass(frozen=True, slots=True)
 class Deriv(Op):
     """Differentiation: p(x) -> p'(x)."""
 
+    bounds = (-1, 0)
+    text = "d"
+
+    def act(self, p: Poly, D: int) -> Poly:
+        return p.derivative()
+
 
 @dataclass(frozen=True, slots=True)
 class Ident(Op):
     """The identity operator."""
+
+    bounds = (0, 0)
+    text = "1"
+
+    def act(self, p: Poly, D: int) -> Poly:
+        return p
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,10 +156,56 @@ class Scaled(Op):
     c: Fraction
     op: "OpExpr"
 
+    children = property(lambda self: (self.op,))
+    bounds = property(lambda self: self.op.bounds)
+
+    def rebuild(self, children):
+        return scaled(self.c, *children)
+
+    def act(self, p: Poly, D: int) -> Poly:
+        return self.op.act(p, D).scale(self.c)
+
+    @property
+    def binding(self):
+        if self.c < 0:
+            return _SUM
+        return _ATOM if isinstance(self.op, Ident) else _PROD
+
+    @property
+    def text(self):
+        if isinstance(self.op, Ident):
+            return str(self.c)
+        if self.c == -1:
+            return "-" + self.op.text_at(_POW)
+        return "%s*%s" % (self.c, self.op.text_at(_POW))
+
 
 @dataclass(frozen=True, slots=True)
 class OpSum(Op):
     terms: tuple
+
+    binding = _SUM
+    children = property(lambda self: self.terms)
+
+    def rebuild(self, children):
+        return op_sum(*children)
+
+    def act(self, p: Poly, D: int) -> Poly:
+        # a scaled term's coefficient goes straight into the combination
+        return Poly._lincomb(
+            (t.c, t.op.act(p, D)) if isinstance(t, Scaled) else (1, t.act(p, D))
+            for t in self.terms
+        )
+
+    @property
+    def bounds(self):
+        folds = [t.bounds for t in self.terms]
+        return max((n for n, _ in folds), default=0), max((p for _, p in folds), default=0)
+
+    @property
+    def text(self):
+        texts = [t.text for t in self.terms]
+        return "".join(texts[:1] + [t if t.startswith("-") else "+" + t for t in texts[1:]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,15 +214,63 @@ class OpProd(Op):
 
     factors: tuple
 
+    binding = _PROD
+    children = property(lambda self: self.factors)
+
+    def rebuild(self, children):
+        return op_prod(*children)
+
+    def act(self, p: Poly, D: int) -> Poly:
+        for f in reversed(self.factors):
+            p = f.act(p, D)
+        return p
+
+    @property
+    def bounds(self):
+        net = peak = 0
+        for f in reversed(self.factors):
+            n, p = f.bounds
+            peak = max(peak, net + p)
+            net += n
+        return net, peak
+
+    @property
+    def text(self):
+        return "*".join(f.text_at(_PROD) for f in self.factors)
+
 
 @dataclass(frozen=True, slots=True)
 class IntPow(Op):
     base: "OpExpr"
     n: int
 
+    binding = _POW
+    children = property(lambda self: (self.base,))
+
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("operator powers take natural exponents")
+
+    def rebuild(self, children):
+        return IntPow(*children, self.n)
+
+    def act(self, p: Poly, D: int) -> Poly:
+        for _ in range(self.n):
+            if p.is_zero:
+                break
+            p = self.base.act(p, D)
+        return p
+
+    @property
+    def bounds(self):
+        if not self.n:
+            return 0, 0
+        n, p = self.base.bounds
+        return self.n * n, p + (self.n - 1) * max(n, 0)
+
+    @property
+    def text(self):
+        return "%s^%d" % (self.base.text_at(_POW), self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +290,17 @@ class DiagFn(Op):
     inverse: bool = False
     owner: object = None
 
+    bounds = (0, 0)
+
+    def act(self, p: Poly, D: int) -> Poly:
+        if self.basis is not None:
+            return _basis_apply(self, p)
+        return p._diag(partial(_divisor, self) if self.inverse else self.fn, self.inverse)
+
+    @property
+    def text(self):
+        return "inv(%s)" % self.name if self.inverse else self.name
+
 
 def DiagInv(d: OpExpr) -> DiagFn:
     """Inverse of a diagonal node; singular if a zero eigenvalue is occupied."""
@@ -173,6 +318,42 @@ class ExpOp(Op):
     evaluated as a terminating power series."""
 
     arg: "OpExpr"
+
+    children = property(lambda self: (self.arg,))
+
+    def rebuild(self, children):
+        return ExpOp(*children)
+
+    def act(self, p: Poly, D: int) -> Poly:
+        steps = _shift_steps(self.arg, p.degree)
+        if steps is not None:
+            return p._conjugated_shift(steps)
+        acc = term = p
+        k = 0
+        while not term.is_zero:
+            k += 1
+            if k > D + 1:
+                raise NonterminatingExponentialError(
+                    "exp() series still nonzero after %d terms at truncation %d"
+                    % (D + 1, D)
+                )
+            try:
+                term = self.arg.act(term, D).scale(Fraction(1, k))
+            except DegreeOverflowError as exc:
+                raise NonterminatingExponentialError(
+                    "exp() of a degree-raising operator; use a series constructor"
+                ) from exc
+            acc = acc + term
+        return acc
+
+    @property
+    def bounds(self):
+        n, p = self.arg.bounds
+        return (math.inf, math.inf) if n > 0 else (0, max(0, p))
+
+    @property
+    def text(self):
+        return "exp(%s)" % self.arg.text
 
 
 OpExpr = Op
@@ -198,28 +379,18 @@ def scaled(c, e: OpExpr) -> OpExpr:
     return Scaled(c, e)
 
 
+def _flat(kind, parts) -> OpExpr:
+    """A node of kind over parts, each part of that kind giving its children."""
+    flat = [c for part in parts for c in (part.children if isinstance(part, kind) else (part,))]
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
+
+
 def op_sum(*terms) -> OpExpr:
-    flat = []
-    for t in terms:
-        if isinstance(t, OpSum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    if len(flat) == 1:
-        return flat[0]
-    return OpSum(tuple(flat))
+    return _flat(OpSum, terms)
 
 
 def op_prod(*factors) -> OpExpr:
-    flat = []
-    for f in factors:
-        if isinstance(f, OpProd):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if len(flat) == 1:
-        return flat[0]
-    return OpProd(tuple(flat))
+    return _flat(OpProd, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +398,13 @@ def op_prod(*factors) -> OpExpr:
 # ---------------------------------------------------------------------------
 
 
-def apply(e: OpExpr, p: Poly, D: int, *, allow_truncation: bool = False) -> Poly:
+def apply(e: OpExpr, p: Poly, D: int) -> Poly:
     """Exact image of p under e on the degree-<=D space.
 
-    Raises DegreeOverflowError when a result would exceed D (unless
-    allow_truncation), SingularOperatorError on an occupied zero eigenvalue
-    of an inverted diagonal, and NonterminatingExponentialError when an
-    exponential's series cannot terminate.
+    Raises DegreeOverflowError when a result would exceed D,
+    SingularOperatorError on an occupied zero eigenvalue of an inverted
+    diagonal, and NonterminatingExponentialError when an exponential's
+    series cannot terminate.
     """
     if p.basis != MONOMIAL:
         raise UnsupportedBasisOperationError(
@@ -242,76 +413,12 @@ def apply(e: OpExpr, p: Poly, D: int, *, allow_truncation: bool = False) -> Poly
     _require_natural(D)
     if p.degree > D:
         raise ValueError("input degree %d exceeds truncation %d" % (p.degree, D))
-    return _apply(e, p, D, allow_truncation)
+    return e.act(p, D)
 
 
 def _require_natural(D: int):
     if D < 0:
         raise ValueError("truncation degree must be nonnegative")
-
-
-def _apply(e, p, D, trunc):
-    if isinstance(e, Coord):
-        if p.degree + 1 > D:
-            if not trunc:
-                raise DegreeOverflowError(
-                    "x raises degree %d past truncation %d" % (p.degree, D)
-                )
-            p = p.truncated(D - 1)
-        return p._times_x()
-    if isinstance(e, Deriv):
-        return p.derivative()
-    if isinstance(e, Ident):
-        return p
-    if isinstance(e, Scaled):
-        return _apply(e.op, p, D, trunc).scale(e.c)
-    if isinstance(e, OpSum):
-        return Poly._lincomb(
-            (t.c, _apply(t.op, p, D, trunc))
-            if isinstance(t, Scaled)
-            else (1, _apply(t, p, D, trunc))
-            for t in e.terms
-        )
-    if isinstance(e, OpProd):
-        out = p
-        for f in reversed(e.factors):
-            out = _apply(f, out, D, trunc)
-        return out
-    if isinstance(e, IntPow):
-        out = p
-        for _ in range(e.n):
-            if out.is_zero:
-                break
-            out = _apply(e.base, out, D, trunc)
-        return out
-    if isinstance(e, DiagFn):
-        if e.basis is not None:
-            return _basis_apply(e, p)
-        return p._diag(partial(_divisor, e) if e.inverse else e.fn, e.inverse)
-    if isinstance(e, ExpOp):
-        steps = _shift_steps(e.arg, p.degree)
-        if steps is not None:
-            return p._conjugated_shift(steps)
-        acc = p
-        term = p
-        k = 0
-        while not term.is_zero:
-            k += 1
-            if k > D + 1:
-                raise NonterminatingExponentialError(
-                    "exp() series still nonzero after %d terms at truncation %d"
-                    % (D + 1, D)
-                )
-            try:
-                term = _apply(e.arg, term, D, trunc).scale(Fraction(1, k))
-            except DegreeOverflowError as exc:
-                raise NonterminatingExponentialError(
-                    "exp() of a degree-raising operator; use a series "
-                    "constructor or allow_truncation"
-                ) from exc
-            acc = acc + term
-        return acc
-    raise TypeError("not an operator expression: %r" % (e,))
 
 
 def _shift_steps(arg, N):
@@ -396,43 +503,10 @@ def _extend_dual_rows(bd: DiagFn, rows: list, N: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _degree_fold(e: OpExpr):
-    """(net, peak) for e: an upper bound on its total degree shift, and the
-    largest intermediate degree raise along its action path. Both are
-    math.inf for exponentials of raising operators."""
-    if isinstance(e, Coord):
-        return 1, 1
-    if isinstance(e, Deriv):
-        return -1, 0
-    if isinstance(e, (Ident, DiagFn)):
-        return 0, 0
-    if isinstance(e, Scaled):
-        return _degree_fold(e.op)
-    if isinstance(e, OpSum):
-        folds = [_degree_fold(t) for t in e.terms]
-        return max((n for n, _ in folds), default=0), max((p for _, p in folds), default=0)
-    if isinstance(e, OpProd):
-        net = peak = 0
-        for f in reversed(e.factors):
-            n, p = _degree_fold(f)
-            peak = max(peak, net + p)
-            net += n
-        return net, peak
-    if isinstance(e, IntPow):
-        n, p = _degree_fold(e.base)
-        if e.n <= 1:
-            return (n, p) if e.n else (0, 0)
-        return e.n * n, p + (e.n - 1) * max(n, 0)
-    if isinstance(e, ExpOp):
-        n, p = _degree_fold(e.arg)
-        return (math.inf, math.inf) if n > 0 else (0, max(0, p))
-    raise TypeError("not an operator expression: %r" % (e,))
-
-
 def degree_raise_bound(e: OpExpr):
     """Upper bound on the total degree shift of e (may be -inf-like negative,
     or math.inf for exponentials of raising operators)."""
-    return _degree_fold(e)[0]
+    return e.bounds[0]
 
 
 def peak_raise(e: OpExpr):
@@ -440,7 +514,7 @@ def peak_raise(e: OpExpr):
 
     Working at truncation D + peak_raise(e) guarantees apply() cannot
     overflow on inputs of degree <= D whose exact image fits in D."""
-    return _degree_fold(e)[1]
+    return e.bounds[1]
 
 
 def working_degree(D: int, *exprs) -> int:
@@ -459,32 +533,25 @@ def working_degree(D: int, *exprs) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LinOp:
     """Realization of an operator on the degree-<=D space: column n is the
     image of x^n, or None where the image overflowed the truncation.
     Immutable, since realize_exact shares one instance between callers."""
 
-    __slots__ = ("D", "columns")
+    D: int
+    columns: tuple
 
-    def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError("LinOp is immutable; cannot set %r" % name)
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError("LinOp is immutable; cannot delete %r" % name)
-
-    def __init__(self, D: int, columns):
-        columns = list(columns)
-        if len(columns) != D + 1:
-            raise ValueError("expected %d columns, got %d" % (D + 1, len(columns)))
+    def __post_init__(self):
+        columns = tuple(self.columns)
+        if len(columns) != self.D + 1:
+            raise ValueError("expected %d columns, got %d" % (self.D + 1, len(columns)))
         for col in columns:
             if col is None:
                 continue
-            if col.basis != MONOMIAL or col.degree > D:
-                raise ValueError("column outside the degree-%d monomial space" % D)
-        self.D = D
-        self.columns = tuple(columns)
+            if col.basis != MONOMIAL or col.degree > self.D:
+                raise ValueError("column outside the degree-%d monomial space" % self.D)
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def identity(cls, D: int) -> "LinOp":
@@ -579,14 +646,6 @@ class LinOp:
             None if col is None else col.coefficient(n)
             for n, col in enumerate(self.columns)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, LinOp):
-            return NotImplemented
-        return self.D == other.D and self.columns == other.columns
-
-    def __hash__(self):
-        return hash((self.D, self.columns))
 
     def __repr__(self):
         marked = sum(1 for c in self.columns if c is None)
@@ -685,20 +744,14 @@ def q_commutator(e1: OpExpr, e2: OpExpr, q, D: int) -> LinOp:
 
 
 def substitute(e: OpExpr, leaf, *, reverse: bool = False) -> OpExpr:
-    """Rebuild the scalings, sums, products, powers and exponentials of e
-    around leaf(node) for every other node; reverse flips every product."""
-    if isinstance(e, Scaled):
-        return scaled(e.c, substitute(e.op, leaf, reverse=reverse))
-    if isinstance(e, OpSum):
-        return op_sum(*(substitute(t, leaf, reverse=reverse) for t in e.terms))
-    if isinstance(e, OpProd):
-        factors = reversed(e.factors) if reverse else e.factors
-        return op_prod(*(substitute(f, leaf, reverse=reverse) for f in factors))
-    if isinstance(e, IntPow):
-        return IntPow(substitute(e.base, leaf, reverse=reverse), e.n)
-    if isinstance(e, ExpOp):
-        return ExpOp(substitute(e.arg, leaf, reverse=reverse))
-    return leaf(e)
+    """Rebuild every node of e that has children around leaf(node) for each
+    leaf; reverse flips every product."""
+    if not e.children:
+        return leaf(e)
+    children = [substitute(c, leaf, reverse=reverse) for c in e.children]
+    if reverse and isinstance(e, OpProd):
+        children.reverse()
+    return e.rebuild(children)
 
 
 _STARRED = {COORD: DERIV, DERIV: COORD, IDENT: IDENT}

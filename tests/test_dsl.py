@@ -13,9 +13,12 @@ from qdeform.opcore import (
     B_DIAG,
     COORD,
     DERIV,
+    ExpOp,
     IntPow,
     acts_equally,
     apply,
+    op_prod,
+    op_sum,
     realize_exact,
     scaled,
 )
@@ -212,6 +215,50 @@ class TestRoundTrip:
     def test_diagfn_prints_by_name(self):
         assert pretty(parse("qn(A)", q=Q)) == "qn(A)"
         assert pretty(parse("qb(B)", q=Q)) == "qb(B)"
+
+
+# The exact text pretty() gives, pinned case by case: round trips only show
+# that printing is idempotent, and no CLI golden prints these shapes.
+_XD = op_prod(COORD, DERIV)
+_XPD = op_sum(COORD, DERIV)
+PRINTED = [
+    (parse("x"), "x"),
+    (parse("d"), "d"),
+    (parse("1"), "1"),
+    (parse("A"), "A"),
+    (parse("B"), "B"),
+    (parse("U", q=Q), "U"),
+    (parse("qn(A)", q=Q), "qn(A)"),
+    (parse("qb(B)", q=Q), "qb(B)"),
+    (scaled(-1, COORD), "-x"),
+    (scaled(-1, _XD), "-(x*d)"),
+    (scaled(-1, _XPD), "-(x+d)"),
+    (scaled(-2, COORD), "-2*x"),
+    (scaled(Fraction(-3, 2), _XD), "-3/2*(x*d)"),
+    (scaled(-2, _XPD), "-2*(x+d)"),
+    (scaled(2, _XD), "2*(x*d)"),
+    (op_sum(COORD, scaled(-1, DERIV), scaled(-3, A_DIAG)), "x-d-3*A"),
+    (IntPow(_XPD, 2), "(x+d)^2"),
+    (IntPow(_XD, 3), "(x*d)^3"),
+    (IntPow(scaled(2, COORD), 2), "(2*x)^2"),
+    (IntPow(scaled(-1, COORD), 2), "(-x)^2"),
+    (IntPow(A_DIAG, 2), "A^2"),
+    (IntPow(IntPow(COORD, 2), 3), "x^2^3"),
+    (op_prod(COORD, _XPD, DERIV), "x*(x+d)*d"),
+    (op_prod(scaled(2, COORD), DERIV), "2*x*d"),
+    (op_prod(COORD, scaled(-1, DERIV)), "x*(-d)"),
+    (ExpOp(scaled(Fraction(1, 2), op_prod(COORD, ExpOp(scaled(-1, DERIV))))), "exp(1/2*(x*exp(-d)))"),
+    (parse("inv(A)"), "inv(A)"),
+    (parse("inv(A+B)"), "inv(A+B)"),
+    (parse("3/4"), "3/4"),
+    (parse("-3/4"), "-3/4"),
+]
+
+
+class TestPrintedText:
+    @pytest.mark.parametrize("e, text", PRINTED, ids=[t for _, t in PRINTED])
+    def test_exact_text(self, e, text):
+        assert pretty(e) == text
 
 
 class TestFuzz:

@@ -179,6 +179,14 @@ class TestAdaptedBases:
         with pytest.raises(ValueError):
             adapted_basis(m, 7, 6)
 
+    def test_negative_index_is_rejected(self):
+        m = phi_delta(Fraction(1, 2))
+        m.basis_element(3)  # a cached |3> must not answer for index -1
+        with pytest.raises(ValueError, match="basis index -1 is negative"):
+            m.basis_element(-1)
+        with pytest.raises(ValueError, match="basis index -2 is negative"):
+            adapted_basis(m, -2, 5)
+
     def test_non_ccr_map_has_no_adapted_basis(self):
         with pytest.raises(UnsupportedBasisOperationError):
             adapted_basis(phi_q_prime(Fraction(1, 2)), 2, 8)

@@ -133,11 +133,6 @@ class TestExpTermination:
         with pytest.raises(NonterminatingExponentialError):
             apply(ExpOp(COORD), Poly.one(), 6)
 
-    def test_raising_with_truncation_matches_series(self):
-        D = 6
-        out = apply(ExpOp(COORD), Poly.one(), D, allow_truncation=True)
-        expect = Poly([Fraction(1, math.factorial(k)) for k in range(D + 1)])
-        assert out == expect
 
 
 def fast_path_diagonals(ctx):
@@ -240,15 +235,19 @@ class TestConjugatedShift:
 class TestPowerStopsAtZero:
     @pytest.fixture
     def visits(self, monkeypatch):
-        """Counts _apply visits, the recursive ones included."""
+        """Counts node-action calls of every node kind, the recursive ones
+        included."""
         count = [0]
-        inner = opcore._apply
 
-        def counted(*args):
-            count[0] += 1
-            return inner(*args)
+        def counting(inner):
+            def counted(*args):
+                count[0] += 1
+                return inner(*args)
 
-        monkeypatch.setattr(opcore, "_apply", counted)
+            return counted
+
+        for kind in opcore.Op.__subclasses__():
+            monkeypatch.setattr(kind, "act", counting(kind.act))
         return count
 
     def test_lowered_to_zero(self, visits):
@@ -264,9 +263,6 @@ class TestOverflow:
     def test_coordinate_overflow(self):
         with pytest.raises(DegreeOverflowError):
             apply(COORD, Poly.monomial(4), 4)
-
-    def test_truncation_flag(self):
-        assert apply(COORD, Poly.monomial(4), 4, allow_truncation=True).is_zero
 
     def test_input_too_big(self):
         with pytest.raises(ValueError):
