@@ -99,22 +99,22 @@ def _tokenize(text: str):
             col = 1
             i += 1
             continue
-        if ch.isspace():
+        if ch.isascii() and ch.isspace():
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             start = i
             startcol = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isascii() and text[i].isdigit():
                 i += 1
                 col += 1
             tokens.append(Token("num", int(text[start:i]), line, startcol))
             continue
-        if ch.isalpha() or ch == "_":
+        if (ch.isascii() and ch.isalpha()) or ch == "_":
             start = i
             startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
                 i += 1
                 col += 1
             tokens.append(Token("name", text[start:i], line, startcol))

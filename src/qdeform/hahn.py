@@ -98,8 +98,6 @@ def _coeff_poly(c0, c1x, c2x2):
         terms.append(scaled(c1x, COORD))
     if c2x2:
         terms.append(scaled(c2x2, IntPow(COORD, 2)))
-    if not terms:
-        return scaled(0, IDENT)
     return op_sum(*terms)
 
 

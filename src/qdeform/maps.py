@@ -37,10 +37,12 @@ LRU; two threads building the same key get the same map, and no thread
 sees a partly built one. ``fb_map`` (a user callable has no structural key)
 and ``DeformMap(...)`` itself always build a fresh map.
 
-Maps are immutable: assigning a public attribute raises AttributeError. The
-adapted-basis cache and the dual rows of the map's spectral diagonals grow
-in place under its own lock with deterministic entries, so concurrent reads
-see values identical to a single-threaded run.
+Maps are frozen dataclasses: assigning or deleting any attribute raises
+AttributeError, and the memo key is not a constructor parameter. The
+adapted-basis cache and the dual rows a map hands out to its spectral
+diagonals (``dual_rows``) grow in place under the map's lock with
+deterministic entries, so concurrent reads see values identical to a
+single-threaded run; a cached basis element is read without the lock.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -66,6 +68,7 @@ from .opcore import (
     IDENT,
     LinOp,
     OpExpr,
+    _extend_dual_rows,
     apply,
     dbracket_diag,
     memoized,
@@ -137,6 +140,7 @@ def u_expr(ctx: QContext) -> OpExpr:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class DeformMap:
     """A named substitution on the generator pair.
 
@@ -147,53 +151,27 @@ class DeformMap:
     what allows diagonal nodes to pass through substitution unchanged.
     """
 
-    __slots__ = (
-        "kind", "label", "image_a", "image_b", "q", "delta", "relation_q",
-        "preserves_degree", "outer", "inner", "_key", "_basis", "_dual_rows",
-        "_basis_lock",
-    )
+    kind: str
+    label: str
+    image_a: OpExpr
+    image_b: OpExpr
+    _: KW_ONLY
+    q: Optional[Fraction] = None
+    delta: Optional[Fraction] = None
+    relation_q: Fraction = Fraction(1)
+    preserves_degree: bool = False
+    outer: Optional[DeformMap] = None
+    inner: Optional[DeformMap] = None
+    # set by _shared on the one instance of a named map, never by a caller
+    _key: Optional[tuple] = field(default=None, init=False)
+    _basis: list = field(default_factory=lambda: [Poly.one()], init=False)
+    # x^k in the adapted basis, for the spectral diagonals this map owns
+    _dual_rows: list = field(default_factory=list, init=False)
+    _basis_lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
-    def __init__(
-        self,
-        kind: str,
-        label: str,
-        image_a: OpExpr,
-        image_b: OpExpr,
-        *,
-        q: Optional[Fraction] = None,
-        delta: Optional[Fraction] = None,
-        relation_q: Fraction = Fraction(1),
-        preserves_degree: bool = False,
-        outer: Optional["DeformMap"] = None,
-        inner: Optional["DeformMap"] = None,
-    ):
-        self.kind = kind
-        self.label = label
-        self.image_a = image_a
-        self.image_b = image_b
-        self.q = q
-        self.delta = delta
-        self.relation_q = rational(relation_q)
-        self.preserves_degree = preserves_degree
-        self.outer = outer
-        self.inner = inner
-        self._key = None  # set by _shared on the one instance of a named map
-        self._basis = [Poly.one()]
-        # x^k in the adapted basis, for the spectral diagonals this map owns
-        self._dual_rows = []
-        # reentrant: extending the rows reads basis elements, which may extend
-        self._basis_lock = threading.RLock()
+    def __post_init__(self):
+        object.__setattr__(self, "relation_q", rational(self.relation_q))
         self._validate(CHECK_DEGREE)
-
-    def __setattr__(self, name, value):
-        # public attributes are set once, in __init__; the private basis
-        # cache, its lock and the memo key stay writable
-        if not name.startswith("_") and hasattr(self, name):
-            raise AttributeError("DeformMap is immutable; cannot set %r" % name)
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError("DeformMap is immutable; cannot delete %r" % name)
 
     @property
     def is_ccr(self) -> bool:
@@ -247,6 +225,16 @@ class DeformMap:
                     "%s: lowering law fails on basis element %d" % (self.label, k)
                 )
             self._basis.append(nxt)
+
+    def dual_rows(self, N: int) -> list:
+        """The components of x^k along |0..k>, k <= N, for the spectral
+        diagonals this map owns; extended in place and shared."""
+        rows = self._dual_rows
+        if len(rows) <= N:
+            self.basis_element(N)  # so the rows below read the basis lock-free
+            with self._basis_lock:
+                _extend_dual_rows(self.label, self.basis_element, rows, N)
+        return rows
 
     # -- generator substitution ------------------------------------------
 
@@ -315,17 +303,26 @@ def _shared(key: Optional[tuple], build: Callable[[], DeformMap]) -> DeformMap:
 
     def build_keyed():
         m = build()
-        m._key = key
+        object.__setattr__(m, "_key", key)
         return m
 
     return memoized(_memo, _memo_lock, _MEMO_SIZE, key, build_keyed)
 
 
+def _named(kind: str, q, delta, images: Callable[[], tuple], **kw) -> DeformMap:
+    """The shared map of a named kind, keyed (kind, q, delta) and labelled
+    kind[parameter]; images() gives the image pair when the map is built."""
+
+    def build():
+        param = q if delta is None else delta
+        label = kind if param is None else "%s[%s]" % (kind, param)
+        return DeformMap(kind, label, *images(), q=q, delta=delta, **kw)
+
+    return _shared((kind, q, delta), build)
+
+
 def identity_map() -> DeformMap:
-    return _shared(
-        ("identity", None, None),
-        lambda: DeformMap("identity", "identity", DERIV, COORD, preserves_degree=True),
-    )
+    return _named("identity", None, None, lambda: (DERIV, COORD), preserves_degree=True)
 
 
 def fb_map(
@@ -352,17 +349,7 @@ def fb_map(
 def phi_q(q) -> DeformMap:
     """The Jackson map: a -> [[B]]^(-1) a, b -> b [[B]]."""
     ctx = q if isinstance(q, QContext) else QContext(q)
-    return _shared(
-        ("phi_q", ctx.q, None),
-        lambda: DeformMap(
-            "phi_q",
-            "phi_q[%s]" % ctx.q,
-            dq_expr(ctx),
-            xq_expr(ctx),
-            q=ctx.q,
-            preserves_degree=True,
-        ),
-    )
+    return _named("phi_q", ctx.q, None, lambda: (dq_expr(ctx), xq_expr(ctx)), preserves_degree=True)
 
 
 def phi_delta(delta) -> DeformMap:
@@ -371,16 +358,12 @@ def phi_delta(delta) -> DeformMap:
     delta = 0 is the undeformed limit and yields the identity images.
     """
     delta = rational(delta)
-    return _shared(
-        ("phi_delta", None, delta),
-        lambda: DeformMap(
-            "phi_delta",
-            "phi_delta[%s]" % delta,
-            a_delta_expr(delta),
-            b_delta_expr(delta),
-            delta=delta,
-            preserves_degree=(delta == 0),
-        ),
+    return _named(
+        "phi_delta",
+        None,
+        delta,
+        lambda: (a_delta_expr(delta), b_delta_expr(delta)),
+        preserves_degree=(delta == 0),
     )
 
 
@@ -391,16 +374,12 @@ def phi_q_prime(q) -> DeformMap:
     rather than the plain commutation relation.
     """
     ctx = q if isinstance(q, QContext) else QContext(q)
-    return _shared(
-        ("phi_q_prime", ctx.q, None),
-        lambda: DeformMap(
-            "phi_q_prime",
-            "phi_q_prime[%s]" % ctx.q,
-            DERIV,
-            op_prod(COORD, DiagInv(dbracket_diag(ctx, 1))),
-            q=ctx.q,
-            relation_q=ctx.q,
-        ),
+    return _named(
+        "phi_q_prime",
+        ctx.q,
+        None,
+        lambda: (DERIV, op_prod(COORD, DiagInv(dbracket_diag(ctx, 1)))),
+        relation_q=ctx.q,
     )
 
 

@@ -279,8 +279,8 @@ class DiagFn(Op):
     scaled by fn(n), or divided by it when inverse; fn must be total on the
     occupied degrees. basis None means the monomials, x^n -> fn(n) x^n;
     otherwise basis(n) is a monomial-basis Poly of exact degree n, and owner
-    the DeformMap whose adapted basis it is, which keeps the dual rows the
-    node reads (without an owner they are rebuilt on every application).
+    the DeformMap whose adapted basis it is, which hands out the dual rows
+    the node reads (without an owner they are rebuilt on every application).
     fn and basis must be pure: realize_exact memoizes by expression and
     compares callables by identity."""
 
@@ -380,8 +380,11 @@ def scaled(c, e: OpExpr) -> OpExpr:
 
 
 def _flat(kind, parts) -> OpExpr:
-    """A node of kind over parts, each part of that kind giving its children."""
+    """A node of kind over parts, each part of that kind giving its children;
+    no parts give the empty sum 0 or the empty product 1."""
     flat = [c for part in parts for c in (part.children if isinstance(part, kind) else (part,))]
+    if not flat:
+        return IDENT if kind is OpProd else scaled(0, IDENT)
     return flat[0] if len(flat) == 1 else kind(tuple(flat))
 
 
@@ -462,34 +465,30 @@ def _divisor(diag, n: int) -> Fraction:
 def _basis_apply(bd: DiagFn, p: Poly) -> Poly:
     """bd on p: the components of p along bd.basis are sum_k p_k row_k, read
     from p's numerators; they are weighted by fn (divided by it when
-    inverse) and recombined as sum_j w_j basis(j). The rows are kept on the
-    owner map; a node without one builds them for this call only."""
+    inverse) and recombined as sum_j w_j basis(j). The owner map hands out
+    its rows; a node without one builds them for this call only."""
     N = p.degree
-    owner = bd.owner
-    if owner is None:
-        rows = _extend_dual_rows(bd, [], N)
+    if bd.owner is None:
+        rows = _extend_dual_rows(bd.name, bd.basis, [], N)
     else:
-        rows = owner._dual_rows
-        if len(rows) <= N:
-            with owner._basis_lock:
-                _extend_dual_rows(bd, rows, N)
+        rows = bd.owner.dual_rows(N)
     comps = Poly._lincomb(zip(p._num, rows), p._den)
     w = comps._diag(partial(_divisor, bd) if bd.inverse else bd.fn, bd.inverse)
     return Poly._lincomb(((c, bd.basis(j)) for j, c in enumerate(w._num) if c), w._den)
 
 
-def _extend_dual_rows(bd: DiagFn, rows: list, N: int) -> list:
+def _extend_dual_rows(name: str, basis, rows: list, N: int) -> list:
     """Extend rows through N, row k holding the components of x^k along
-    bd.basis(0..k) as the coefficients of a Poly. basis(k) = num_k / den_k
+    basis(0..k) as the coefficients of a Poly. basis(k) = num_k / den_k
     has exact degree k, so x^k = (den_k |k> - sum_(j<k) num_k[j] x^j) /
     num_k[k]: one integer combination of the rows below it."""
     for k in range(len(rows), N + 1):
-        bk = bd.basis(k)
+        bk = basis(k)
         if bk.basis != MONOMIAL:
             raise BasisMismatchError("basis mismatch: %r vs %r" % (MONOMIAL, bk.basis))
         if bk.degree != k:
             raise SingularOperatorError(
-                "%s: basis element %d has degree %d" % (bd.name, k, bk.degree)
+                "%s: basis element %d has degree %d" % (name, k, bk.degree)
             )
         num = bk._num
         terms = [(-c, rows[j]) for j, c in enumerate(num[:k])]

@@ -140,31 +140,15 @@ class QContext:
 
 
 @lru_cache(maxsize=None)
-def _stirling_first_row(n: int) -> tuple:
+def _stirling_row(second: bool, n: int) -> tuple:
+    """Row n of s(n, k), or of S(n, k) when second; both kinds follow
+    T(n, k) = T(n-1, k-1) + w T(n-1, k), with weight w = -(n-1) or k."""
     if n == 0:
         return (1,)
-    prev = _stirling_first_row(n - 1)
-
-    def entry(k):
-        lower = prev[k - 1] if 1 <= k <= n else 0
-        same = prev[k] if k <= n - 1 else 0
-        return lower - (n - 1) * same
-
-    return tuple(entry(k) for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _stirling_second_row(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    prev = _stirling_second_row(n - 1)
-
-    def entry(k):
-        lower = prev[k - 1] if 1 <= k <= n else 0
-        same = prev[k] if k <= n - 1 else 0
-        return lower + k * same
-
-    return tuple(entry(k) for k in range(n + 1))
+    prev = _stirling_row(second, n - 1) + (0,)
+    return tuple(
+        (prev[k - 1] if k else 0) + (k if second else 1 - n) * prev[k] for k in range(n + 1)
+    )
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -175,11 +159,11 @@ def stirling_first(n: int, k: int) -> int:
     """
     if not 0 <= k <= n:
         raise ValueError("stirling_first requires 0 <= k <= n, got n=%d k=%d" % (n, k))
-    return _stirling_first_row(n)[k]
+    return _stirling_row(False, n)[k]
 
 
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k) (inverse triangle to s)."""
     if not 0 <= k <= n:
         raise ValueError("stirling_second requires 0 <= k <= n, got n=%d k=%d" % (n, k))
-    return _stirling_second_row(n)[k]
+    return _stirling_row(True, n)[k]

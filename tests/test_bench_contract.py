@@ -42,6 +42,26 @@ def test_every_layer_resolves():
     assert unresolved_layers() == []
 
 
+def map_key_label():
+    """The label tracing's map key binds by name on DeformMap.__init__ for a
+    construction as the named maps make it; maps.distinct counts these."""
+    key = tracing.Tracer()._map_key(maps.DeformMap.__init__)
+    return key((None, "phi_q", "phi_q[1/2]", "a", "b"), {"q": "1/2"})[0]
+
+
+def test_map_key_binds_the_label():
+    assert map_key_label() == "phi_q[1/2]"
+
+
+def test_constructor_without_label_is_reported(monkeypatch):
+    class NoLabel:
+        def __init__(self, kind, name, image_a, image_b, *, q=None):
+            pass
+
+    monkeypatch.setattr(maps, "DeformMap", NoLabel)
+    assert map_key_label() is None
+
+
 def missing_suites():
     return [s for s in tracing.SUITES if s not in verify.SUITES]
 

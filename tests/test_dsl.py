@@ -156,6 +156,24 @@ class TestErrors:
             parse("x*\n%")
         assert str(err.value).startswith("2:1:")
 
+    @pytest.mark.parametrize(
+        "text, where, ch",
+        [("x^²", "1:3", "²"), ("2²*x", "1:2", "²"), ("x^٣", "1:3", "٣"),
+         ("xé", "1:2", "é"), ("x +\u00a0d", "1:4", "\u00a0"), ("d*\nµ", "2:1", "µ")],
+    )
+    def test_non_ascii_is_a_located_parse_error(self, text, where, ch):
+        # digits, letters and blanks outside ASCII are not the grammar's,
+        # also inside a number or name run
+        with pytest.raises(ParseError) as err:
+            parse(text, q=Q)
+        assert str(err.value) == "%s: unexpected character %r" % (where, ch)
+
+    def test_non_ascii_exits_2_from_the_cli(self, capsys):
+        from qdeform.cli import main
+
+        assert main(["apply", "x^²", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: 1:3: unexpected character '²'\n")
+
     def test_non_integer_spectrum_surfaces_at_use(self):
         e = parse("qb(inv(B))", q=Q)  # spectrum 1/(n+1) is not integral
         with pytest.raises(MathError):

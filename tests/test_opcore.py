@@ -61,6 +61,19 @@ def shifts_by(image: Poly, p: Poly, h) -> bool:
     return all(image.evaluate(t) == p.evaluate(t + h) for t in points)
 
 
+class TestEmptySumAndProduct:
+    @pytest.mark.parametrize("e, text, value", [(op_sum(), "0", 0), (op_prod(), "1", 1)])
+    def test_print_reparse_and_substitute(self, e, text, value):
+        from qdeform.dsl import pretty
+        from qdeform.maps import phi_q
+
+        p = Poly([1, Fraction(-2, 3), 5])
+        assert pretty(e) == text and parse(text) == e
+        assert apply(e, p, 4) == p.scale(value)
+        for image in (star(e), phi_q(Fraction(1, 2)).image(e)):
+            assert apply(image, p, 4) == p.scale(value)
+
+
 class TestApply:
     def test_derivative(self):
         assert apply(DERIV, Poly.monomial(3), 8) == Poly.monomial(2, 3)
@@ -617,7 +630,7 @@ class TestBasisDiag:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors
         assert all([r[n] for n in range(14)] == expected for r in results)
-        assert m._dual_rows == opcore._extend_dual_rows(bd, [], 13)
+        assert m._dual_rows == opcore._extend_dual_rows(bd.name, bd.basis, [], 13)
 
     def test_wrong_degree_element_names_the_lowest(self):
         # the rows are built upwards through the input's degree: the lowest

@@ -1,7 +1,7 @@
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -149,6 +149,13 @@ class TestStirling:
                     for j in range(k, n + 1)
                 )
                 assert tot == (1 if n == k else 0)
+
+    def test_second_kind_closed_form(self):
+        # S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, with 0^0 = 1
+        for n in range(40):
+            for k in range(n + 1):
+                total = sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+                assert stirling_second(n, k) * factorial(k) == total
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
