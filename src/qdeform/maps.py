@@ -8,9 +8,9 @@ defining relation they satisfy,
     image_a image_b - relation_q * image_b image_a = 1,
 
 with relation_q = 1 for the ordinary commutation relation. Every
-constructor verifies this relation (and counit preservation, i.e. the
-lowering image annihilates constants) on a finite degree window before
-returning.
+constructor verifies this relation and counit preservation (the lowering
+image annihilates constants) on a finite degree window before returning,
+a CCR map through the ladder laws of the adapted basis it then keeps.
 
 The module provides:
 
@@ -178,12 +178,29 @@ class DeformMap:
         return self.relation_q == 1
 
     def _validate(self, D: int):
+        """Check the defining relation and the counit on degrees 0..D.
+
+        A CCR map whose lowering image a kills constants is certified by the
+        ladder laws of its adapted basis:
+        1. |n> = b^n 1, which _extend builds up to |D+1>;
+        2. _extend checks deg |n> = n and a|n> = n|n-1> for 1 <= n <= D+1;
+        3. so (ab - ba)|n> = (n+1)|n> - n|n> = |n> for n <= D (a|0> = 0);
+        4. |0..D> span the degree-<=D space, so [a, b] = 1 there.
+        Such a map must raise the degree by exactly one. Maps with
+        relation_q != 1 (phi_q_prime) or without the counit realize the
+        relation column by column; a failure names the first bad column.
+        """
+        counit = apply(self.image_a, Poly.one(), D).is_zero
+        if counit and self.is_ccr:
+            with self._basis_lock:
+                self._extend(D + 1)
+            return
         comm = q_commutator(self.image_a, self.image_b, self.relation_q, D)
-        if not comm.is_identity():
-            raise MapConstructionError(
-                "%s: defining relation fails on the degree-%d window" % (self.label, D)
-            )
-        if not apply(self.image_a, Poly.one(), D).is_zero:
+        for n, col in enumerate(comm.columns):
+            if col is not None and col != Poly.monomial(n):
+                msg = "%s: defining relation fails on the degree-%d window: column %d is %s, not x^%d"
+                raise MapConstructionError(msg % (self.label, D, n, col.to_text(), n))
+        if not counit:
             raise MapConstructionError(
                 "%s: lowering image does not annihilate constants" % self.label
             )

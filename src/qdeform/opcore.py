@@ -31,18 +31,13 @@ evaluated there, the series runs instead, and raises where it always has.
 
 A diagonal in an adapted basis reads the components of its input off dual
 rows, row k being x^k in that basis; the owner map builds each row once and
-keeps it. ``realize_exact`` keeps its last 16 results, keyed by (expression,
-D): nodes compare structurally and callables by identity, so a DiagFn's fn
-and basis must be pure.
-
-Expressions and realizations are immutable, and the two caches grow under
-locks; concurrent use is safe.
+keeps it. Expressions and realizations are immutable, and the dual rows
+grow under their owner's lock; concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -281,8 +276,7 @@ class DiagFn(Op):
     otherwise basis(n) is a monomial-basis Poly of exact degree n, and owner
     the DeformMap whose adapted basis it is, which hands out the dual rows
     the node reads (without an owner they are rebuilt on every application).
-    fn and basis must be pure: realize_exact memoizes by expression and
-    compares callables by identity."""
+    basis must be pure, since the owner keeps the rows it has built."""
 
     name: str
     fn: Callable[[int], Fraction]
@@ -536,7 +530,7 @@ def working_degree(D: int, *exprs) -> int:
 class LinOp:
     """Realization of an operator on the degree-<=D space: column n is the
     image of x^n, or None where the image overflowed the truncation.
-    Immutable, since realize_exact shares one instance between callers."""
+    Immutable."""
 
     D: int
     columns: tuple
@@ -688,31 +682,16 @@ def memoized(cache: OrderedDict, lock, size: int, key, build):
     return value
 
 
-# realize_exact keeps its last results by (expression, D): a map's
-# constructor check and the verify suites realize the same commutators. In
-# `verify all` every repeat that is costly to recompute comes back within 5
-# other realizations; 16 entries keep those. 32 would also keep the cheap
-# repeats at distances 13-29, for about 0.5 MB more peak RSS per process.
-_REALIZED_SIZE = 16
-_realized: "OrderedDict[tuple, LinOp]" = OrderedDict()
-_realized_lock = threading.Lock()
-
-
 def realize_exact(e: OpExpr, D: int) -> LinOp:
     """Like realize, but works at an inflated internal truncation so that a
-    column is marked only when its exact image genuinely leaves degree D.
-    Memoized: a LinOp is immutable, so a hit shares it."""
+    column is marked only when its exact image genuinely leaves degree D."""
     _require_natural(D)
-
-    def build():
-        Dw = working_degree(D, e)
-        cols = []
-        for n in range(D + 1):
-            img = apply(e, Poly.monomial(n), Dw)
-            cols.append(img if img.degree <= D else None)
-        return LinOp(D, cols)
-
-    return memoized(_realized, _realized_lock, _REALIZED_SIZE, (e, D), build)
+    Dw = working_degree(D, e)
+    cols = []
+    for n in range(D + 1):
+        img = apply(e, Poly.monomial(n), Dw)
+        cols.append(img if img.degree <= D else None)
+    return LinOp(D, cols)
 
 
 def acts_equally(e1: OpExpr, e2: OpExpr, D: int) -> bool:

@@ -31,13 +31,12 @@ def rng():
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty map memo and realization memo for one test, so its builds
-    neither see nor evict the maps and realizations other tests share, and a
-    perturbed ingredient is never answered from a stale realization."""
+    """An empty map memo for one test, so its builds neither see nor evict
+    the maps other tests share, and a perturbed ingredient never reaches a
+    shared map."""
     from collections import OrderedDict
 
-    from qdeform import maps, opcore
+    from qdeform import maps
 
     monkeypatch.setattr(maps, "_memo", OrderedDict())
-    monkeypatch.setattr(opcore, "_realized", OrderedDict())
     return maps

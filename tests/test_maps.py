@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import DELTA_GRID, Q_GRID, small_rationals
 from qdeform.errors import MapConstructionError, UnsupportedBasisOperationError
 from qdeform.maps import (
+    CHECK_DEGREE,
     MAP_KINDS,
     DeformMap,
     adapted_basis,
@@ -59,6 +60,12 @@ def ctx_for(q):
     return QContext(q)
 
 
+def step_raising(j):
+    """x g(A) with g(n) = 1 below j and 2 from j on: with d it breaks the
+    relation first on x^j, where [d, x g(A)] x^j = (j + 2) x^j."""
+    return op_prod(COORD, DiagFn("g", lambda n: Fraction(1 if n < j else 2)))
+
+
 def falling_poly(n, delta):
     acc = Poly.one()
     for j in range(n):
@@ -98,13 +105,52 @@ class TestConstruction:
                     assert apply(m.image_a, Poly.one(), 20).is_zero
 
     def test_bad_images_rejected(self):
-        with pytest.raises(MapConstructionError):
+        with pytest.raises(MapConstructionError, match="raising image failed to raise degree at step 1$"):
             DeformMap("broken", "broken", DERIV, op_prod(COORD, COORD))
+        with pytest.raises(MapConstructionError, match="lowering law fails on basis element 1$"):
+            DeformMap("broken", "broken", scaled(2, DERIV), COORD)
+
+    @pytest.mark.parametrize("j, element", [(10, 11), (CHECK_DEGREE, CHECK_DEGREE + 1)])
+    def test_step_inside_the_window_rejected(self, j, element):
+        with pytest.raises(MapConstructionError, match="lowering law fails on basis element %d$" % element):
+            DeformMap("step", "step", DERIV, step_raising(j))
+
+    def test_step_past_the_window_accepted(self):
+        # the certified window is degrees 0..CHECK_DEGREE; the step breaks
+        # the relation only on the degree just past it
+        m = DeformMap("step", "step", DERIV, step_raising(CHECK_DEGREE + 1))
+        assert commutator(m.image_a, m.image_b, CHECK_DEGREE).is_identity()
+        assert not commutator(m.image_a, m.image_b, CHECK_DEGREE + 1).is_identity()
 
     def test_counit_violation_rejected(self):
         # a -> a + 1 fails to annihilate constants but keeps the CCR
-        with pytest.raises(MapConstructionError):
+        with pytest.raises(MapConstructionError, match="lowering image does not annihilate constants$"):
             DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
+
+    def test_relation_failure_names_its_column(self):
+        # d x - (1/2) x d sends x to 3/2 x
+        with pytest.raises(
+            MapConstructionError,
+            match=r"^t: defining relation fails on the degree-16 window: column 1 is 3/2\*x, not x\^1$",
+        ):
+            DeformMap("t", "t", DERIV, COORD, relation_q=Fraction(1, 2))
+
+    def test_ccr_maps_are_certified_through_their_basis(self, monkeypatch, fresh_memo):
+        maps = fresh_memo
+        calls = []
+        q_commutator = maps.q_commutator
+        monkeypatch.setattr(maps, "q_commutator", lambda *args: calls.append(args) or q_commutator(*args))
+        q, delta = Fraction(5, 11), Fraction(3, 7)
+        built = [phi_q(q), phi_delta(delta), compose(phi_q(q), phi_delta(delta)), compose(phi_delta(delta), phi_q(q))]
+        assert calls == []
+        assert [len(m._basis) for m in built] == [CHECK_DEGREE + 2] * 4
+        # the q-weighted relation and a lowering image without a counit are
+        # realized column by column
+        phi_q_prime(q)
+        assert len(calls) == 1
+        with pytest.raises(MapConstructionError, match="does not annihilate constants"):
+            DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
+        assert len(calls) == 2
 
     def test_delta_zero_degenerates_to_identity(self):
         m = phi_delta(0)
