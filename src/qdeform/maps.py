@@ -8,9 +8,11 @@ defining relation they satisfy,
     image_a image_b - relation_q * image_b image_a = 1,
 
 with relation_q = 1 for the ordinary commutation relation. Every
-constructor verifies this relation and counit preservation (the lowering
-image annihilates constants) on a finite degree window before returning,
-a CCR map through the ladder laws of the adapted basis it then keeps.
+constructor checks the counit (the lowering image annihilates constants)
+and then certifies this relation on a finite degree window through the
+weighted ladder laws of the adapted basis |n> = b^n 1, which the map then
+keeps. Whether the map preserves the degree operator is read off the same
+certified basis.
 
 The module provides:
 
@@ -71,7 +73,6 @@ from .opcore import (
     _extend_dual_rows,
     apply,
     dbracket_diag,
-    memoized,
     gamma_ratio_diag,
     op_prod,
     op_sum,
@@ -146,9 +147,10 @@ class DeformMap:
 
     ``relation_q`` is the weight in the defining relation of the image
     pair; 1 means the ordinary commutation relation. ``preserves_degree``
-    records that the image pair reproduces the degree operator exactly on
-    monomials (true for the identity and the whole f(B)-family), which is
-    what allows diagonal nodes to pass through substitution unchanged.
+    is derived at construction, never passed: it records that the image
+    pair reproduces the degree operator exactly on monomials (true for the
+    identity and the whole f(B)-family), which is what allows diagonal
+    nodes to pass through substitution unchanged.
     """
 
     kind: str
@@ -159,9 +161,10 @@ class DeformMap:
     q: Optional[Fraction] = None
     delta: Optional[Fraction] = None
     relation_q: Fraction = Fraction(1)
-    preserves_degree: bool = False
     outer: Optional[DeformMap] = None
     inner: Optional[DeformMap] = None
+    # set by _validate from the certified basis, never by a caller
+    preserves_degree: bool = field(default=False, init=False)
     # set by _shared on the one instance of a named map, never by a caller
     _key: Optional[tuple] = field(default=None, init=False)
     _basis: list = field(default_factory=lambda: [Poly.one()], init=False)
@@ -178,40 +181,37 @@ class DeformMap:
         return self.relation_q == 1
 
     def _validate(self, D: int):
-        """Check the defining relation and the counit on degrees 0..D.
+        """Check the counit, then the defining relation on degrees 0..D.
 
-        A CCR map whose lowering image a kills constants is certified by the
+        With w = relation_q and {n}_w = 1 + w + ... + w^(n-1) (n at w = 1),
+        a map whose lowering image a kills constants is certified by the
         ladder laws of its adapted basis:
         1. |n> = b^n 1, which _extend builds up to |D+1>;
-        2. _extend checks deg |n> = n and a|n> = n|n-1> for 1 <= n <= D+1;
-        3. so (ab - ba)|n> = (n+1)|n> - n|n> = |n> for n <= D (a|0> = 0);
-        4. |0..D> span the degree-<=D space, so [a, b] = 1 there.
-        Such a map must raise the degree by exactly one. Maps with
-        relation_q != 1 (phi_q_prime) or without the counit realize the
-        relation column by column; a failure names the first bad column.
+        2. _extend checks deg |n> = n and a|n> = {n}_w |n-1> for 1 <= n <= D+1;
+        3. so (ab - w ba)|n> = ({n+1}_w - w{n}_w)|n> = |n> for n <= D (a|0> = 0);
+        4. |0..D> span the degree-<=D space, so ab - w ba = 1 there.
+        Every map must raise the degree by exactly one. The map
+        preserves the degree operator when it is CCR and each certified |n>
+        is a single monomial, for then ba|n> = n|n> = A|n>; later basis
+        growth is not read, so the answer does not depend on call order.
         """
-        counit = apply(self.image_a, Poly.one(), D).is_zero
-        if counit and self.is_ccr:
-            with self._basis_lock:
-                self._extend(D + 1)
-            return
-        comm = q_commutator(self.image_a, self.image_b, self.relation_q, D)
-        for n, col in enumerate(comm.columns):
-            if col is not None and col != Poly.monomial(n):
-                msg = "%s: defining relation fails on the degree-%d window: column %d is %s, not x^%d"
-                raise MapConstructionError(msg % (self.label, D, n, col.to_text(), n))
-        if not counit:
+        if not apply(self.image_a, Poly.one(), D).is_zero:
             raise MapConstructionError(
                 "%s: lowering image does not annihilate constants" % self.label
             )
+        with self._basis_lock:
+            self._extend(D + 1)
+        monomial = all(not any(ket._num[:-1]) for ket in self._basis)
+        object.__setattr__(self, "preserves_degree", self.is_ccr and monomial)
 
     # -- adapted basis --------------------------------------------------
 
     def basis_element(self, n: int) -> Poly:
         """|n> = (image of b)^n applied to 1; lazily extended and cached.
 
-        Only meaningful for counit-preserving CCR maps, where the lowering
-        law a|n> = n|n-1> is re-verified on every extension.
+        Offered for CCR maps only, where A is diagonal with spectrum n in
+        this basis; the lowering law a|n> = n|n-1> is re-verified on every
+        extension, as construction verified it on |0..CHECK_DEGREE+1>.
         """
         if not self.is_ccr:
             raise UnsupportedBasisOperationError(
@@ -229,6 +229,7 @@ class DeformMap:
         # raising images lift degree by exactly one, but intermediates may
         # peak higher; one truncation gives every step headroom for both
         Dw = working_degree(n, self.image_b, self.image_a)
+        w = self.relation_q
         while len(self._basis) <= n:
             k = len(self._basis)
             nxt = apply(self.image_b, self._basis[-1], Dw)
@@ -237,9 +238,12 @@ class DeformMap:
                     "%s: raising image failed to raise degree at step %d" % (self.label, k)
                 )
             lowered = apply(self.image_a, nxt, Dw)
-            if lowered != self._basis[-1].scale(k):
+            # a|k> = {k}_w |k-1>, with {k}_w = k at w = 1
+            expected = self._basis[-1].scale(k if w == 1 else (1 - w**k) / (1 - w))
+            if lowered != expected:
+                msg = "%s: lowering law fails on basis element %d: a|%d> is %s, not %s"
                 raise MapConstructionError(
-                    "%s: lowering law fails on basis element %d" % (self.label, k)
+                    msg % (self.label, k, k, lowered.to_text(), expected.to_text())
                 )
             self._basis.append(nxt)
 
@@ -314,16 +318,23 @@ _memo_lock = threading.Lock()
 def _shared(key: Optional[tuple], build: Callable[[], DeformMap]) -> DeformMap:
     """The one map for key, made by build() and validated on first use; a
     hit does no work beyond the lookup, and key None always builds afresh.
-    A map is published only once complete (see opcore.memoized)."""
+    The build runs outside the lock (it may build other shared maps) and
+    only the finished map is published; racing builders all return the
+    first one published."""
     if key is None:
         return build()
-
-    def build_keyed():
-        m = build()
-        object.__setattr__(m, "_key", key)
-        return m
-
-    return memoized(_memo, _memo_lock, _MEMO_SIZE, key, build_keyed)
+    with _memo_lock:
+        m = _memo.get(key)
+        if m is not None:
+            _memo.move_to_end(key)
+            return m
+    m = build()
+    object.__setattr__(m, "_key", key)
+    with _memo_lock:
+        m = _memo.setdefault(key, m)
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return m
 
 
 def _named(kind: str, q, delta, images: Callable[[], tuple], **kw) -> DeformMap:
@@ -339,7 +350,7 @@ def _named(kind: str, q, delta, images: Callable[[], tuple], **kw) -> DeformMap:
 
 
 def identity_map() -> DeformMap:
-    return _named("identity", None, None, lambda: (DERIV, COORD), preserves_degree=True)
+    return _named("identity", None, None, lambda: (DERIV, COORD))
 
 
 def fb_map(
@@ -359,14 +370,13 @@ def fb_map(
         op_prod(DiagInv(diag), DERIV),
         op_prod(COORD, diag),
         q=q,
-        preserves_degree=True,
     )
 
 
 def phi_q(q) -> DeformMap:
     """The Jackson map: a -> [[B]]^(-1) a, b -> b [[B]]."""
     ctx = q if isinstance(q, QContext) else QContext(q)
-    return _named("phi_q", ctx.q, None, lambda: (dq_expr(ctx), xq_expr(ctx)), preserves_degree=True)
+    return _named("phi_q", ctx.q, None, lambda: (dq_expr(ctx), xq_expr(ctx)))
 
 
 def phi_delta(delta) -> DeformMap:
@@ -375,13 +385,7 @@ def phi_delta(delta) -> DeformMap:
     delta = 0 is the undeformed limit and yields the identity images.
     """
     delta = rational(delta)
-    return _named(
-        "phi_delta",
-        None,
-        delta,
-        lambda: (a_delta_expr(delta), b_delta_expr(delta)),
-        preserves_degree=(delta == 0),
-    )
+    return _named("phi_delta", None, delta, lambda: (a_delta_expr(delta), b_delta_expr(delta)))
 
 
 def phi_q_prime(q) -> DeformMap:
@@ -420,7 +424,6 @@ def compose(outer: DeformMap, inner: DeformMap) -> DeformMap:
             q=outer.q if outer.q is not None else inner.q,
             delta=outer.delta if outer.delta is not None else inner.delta,
             relation_q=inner.relation_q,
-            preserves_degree=outer.preserves_degree and inner.preserves_degree,
             outer=outer,
             inner=inner,
         ),

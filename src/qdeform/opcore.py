@@ -38,7 +38,6 @@ grow under their owner's lock; concurrent use is safe.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -662,24 +661,6 @@ def realize(e: OpExpr, D: int) -> LinOp:
         except DegreeOverflowError:
             cols.append(None)
     return LinOp(D, cols)
-
-
-def memoized(cache: OrderedDict, lock, size: int, key, build):
-    """cache[key] from an LRU of at most size entries, else build() published
-    there. The build runs outside the lock (it may use the cache) and only
-    its finished result is published; racing builders all return the first
-    one published."""
-    with lock:
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-            return value
-    value = build()
-    with lock:
-        value = cache.setdefault(key, value)
-        if len(cache) > size:
-            cache.popitem(last=False)
-    return value
 
 
 def realize_exact(e: OpExpr, D: int) -> LinOp:

@@ -11,6 +11,8 @@ from qdeform.maps import (
     CHECK_DEGREE,
     MAP_KINDS,
     DeformMap,
+    a_delta_expr,
+    b_delta_expr,
     adapted_basis,
     b_projection,
     compose,
@@ -39,15 +41,19 @@ from qdeform.maps import (
 from qdeform.opcore import (
     COORD,
     DERIV,
+    A_DIAG,
     DiagFn,
+    DiagInv,
     ExpOp,
     IDENT,
     IntPow,
     acts_equally,
     apply,
     commutator,
+    dbracket_diag,
     op_prod,
     op_sum,
+    q_commutator,
     realize_exact,
     scaled,
 )
@@ -64,6 +70,13 @@ def step_raising(j):
     """x g(A) with g(n) = 1 below j and 2 from j on: with d it breaks the
     relation first on x^j, where [d, x g(A)] x^j = (j + 2) x^j."""
     return op_prod(COORD, DiagFn("g", lambda n: Fraction(1 if n < j else 2)))
+
+
+def weighted_step_raising(j):
+    """x [[B]]^(-1) g(A) at q = 1/2, g as in step_raising: with d it closes
+    d b - (1/2) b d = 1 below x^j and breaks it first on x^j."""
+    ctx = ctx_for(Fraction(1, 2))
+    return op_prod(COORD, DiagInv(dbracket_diag(ctx, 1)), DiagFn("g", lambda n: Fraction(1 if n < j else 2)))
 
 
 def falling_poly(n, delta):
@@ -99,20 +112,21 @@ class TestConstruction:
                     compose(phi_delta(delta), phi_q(q)),
                 ):
                     # the relation verified at construction, re-run wider
-                    from qdeform.opcore import q_commutator
-
                     assert q_commutator(m.image_a, m.image_b, m.relation_q, 20).is_identity()
                     assert apply(m.image_a, Poly.one(), 20).is_zero
 
     def test_bad_images_rejected(self):
         with pytest.raises(MapConstructionError, match="raising image failed to raise degree at step 1$"):
             DeformMap("broken", "broken", DERIV, op_prod(COORD, COORD))
-        with pytest.raises(MapConstructionError, match="lowering law fails on basis element 1$"):
+        with pytest.raises(MapConstructionError, match=r"lowering law fails on basis element 1: a\|1> is 2, not 1$"):
             DeformMap("broken", "broken", scaled(2, DERIV), COORD)
 
     @pytest.mark.parametrize("j, element", [(10, 11), (CHECK_DEGREE, CHECK_DEGREE + 1)])
     def test_step_inside_the_window_rejected(self, j, element):
-        with pytest.raises(MapConstructionError, match="lowering law fails on basis element %d$" % element):
+        # |element> = 2 x^element, so a|element> = 2 element x^(element-1)
+        e = element
+        msg = r"lowering law fails on basis element %d: a\|%d> is %d\*x\^%d, not %d\*x\^%d$" % (e, e, 2 * e, e - 1, e, e - 1)
+        with pytest.raises(MapConstructionError, match=msg):
             DeformMap("step", "step", DERIV, step_raising(j))
 
     def test_step_past_the_window_accepted(self):
@@ -127,35 +141,95 @@ class TestConstruction:
         with pytest.raises(MapConstructionError, match="lowering image does not annihilate constants$"):
             DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
 
-    def test_relation_failure_names_its_column(self):
-        # d x - (1/2) x d sends x to 3/2 x
+    def test_lowering_law_failure_names_both_values(self):
+        # with w = 1/2, a|2> must be {2}_w |1> = 3/2 x, but d x^2 = 2 x
         with pytest.raises(
             MapConstructionError,
-            match=r"^t: defining relation fails on the degree-16 window: column 1 is 3/2\*x, not x\^1$",
+            match=r"^t: lowering law fails on basis element 2: a\|2> is 2\*x, not 3/2\*x$",
         ):
             DeformMap("t", "t", DERIV, COORD, relation_q=Fraction(1, 2))
 
+    @pytest.mark.parametrize("j, element", [(10, 11), (CHECK_DEGREE, CHECK_DEGREE + 1)])
+    def test_weighted_step_inside_the_window_rejected(self, j, element):
+        with pytest.raises(MapConstructionError, match=r"^w: lowering law fails on basis element %d: " % element):
+            DeformMap("w", "w", DERIV, weighted_step_raising(j), relation_q=Fraction(1, 2))
+
+    def test_weighted_step_past_the_window_accepted(self):
+        half = Fraction(1, 2)
+        m = DeformMap("w", "w", DERIV, weighted_step_raising(CHECK_DEGREE + 1), relation_q=half)
+        assert q_commutator(m.image_a, m.image_b, half, CHECK_DEGREE).is_identity()
+        assert not q_commutator(m.image_a, m.image_b, half, CHECK_DEGREE + 1).is_identity()
+
+    def test_wrong_weight_rejected(self):
+        # the pair closes the relation at w = 1/2: a|2> = {2}_(1/2) |1>, not {2}_(1/3) |1>
+        with pytest.raises(MapConstructionError, match=r"^w: lowering law fails on basis element 2: a\|2> is 3/2\*x, not 4/3\*x$"):
+            DeformMap("w", "w", DERIV, weighted_step_raising(100), relation_q=Fraction(1, 3))
+
     def test_ccr_maps_are_certified_through_their_basis(self, monkeypatch, fresh_memo):
-        maps = fresh_memo
+        # no construction realizes a commutator: every map, the q-weighted
+        # phi_q_prime included, is certified through its basis
+        from qdeform import opcore
+
         calls = []
-        q_commutator = maps.q_commutator
-        monkeypatch.setattr(maps, "q_commutator", lambda *args: calls.append(args) or q_commutator(*args))
+        weighted = opcore._weighted_commutator
+        monkeypatch.setattr(opcore, "_weighted_commutator", lambda *args: calls.append(args) or weighted(*args))
         q, delta = Fraction(5, 11), Fraction(3, 7)
-        built = [phi_q(q), phi_delta(delta), compose(phi_q(q), phi_delta(delta)), compose(phi_delta(delta), phi_q(q))]
-        assert calls == []
-        assert [len(m._basis) for m in built] == [CHECK_DEGREE + 2] * 4
-        # the q-weighted relation and a lowering image without a counit are
-        # realized column by column
-        phi_q_prime(q)
-        assert len(calls) == 1
-        with pytest.raises(MapConstructionError, match="does not annihilate constants"):
+        built = [
+            phi_q(q),
+            phi_delta(delta),
+            compose(phi_q(q), phi_delta(delta)),
+            compose(phi_delta(delta), phi_q(q)),
+            phi_q_prime(q),
+        ]
+        with pytest.raises(MapConstructionError, match="does not annihilate constants$"):
             DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
-        assert len(calls) == 2
+        assert calls == []
+        assert [len(m._basis) for m in built] == [CHECK_DEGREE + 2] * 5
+        # the patch is live: a realized commutator goes through it
+        q_commutator(DERIV, COORD, q, 2)
+        assert len(calls) == 1
 
     def test_delta_zero_degenerates_to_identity(self):
         m = phi_delta(0)
         assert acts_equally(m.image_a, DERIV, 10)
         assert acts_equally(m.image_b, COORD, 10)
+
+
+class TestPreservesDegree:
+    def test_derived_flag_on_the_named_kinds(self):
+        q, delta = Fraction(1, 2), Fraction(1, 2)
+        f = lambda n: Fraction(n + 1)
+        for m in (identity_map(), phi_q(q), phi_delta(0), compose(phi_q(q), phi_q(q)), fb_map("f", f)):
+            assert m.preserves_degree, m.label
+        for m in (
+            phi_delta(delta),
+            phi_q_prime(q),
+            compose(phi_q(q), phi_delta(delta)),
+            compose(phi_delta(delta), phi_q(q)),
+        ):
+            assert not m.preserves_degree, m.label
+
+    def test_flag_is_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError):
+            DeformMap("pd", "pd", DERIV, COORD, preserves_degree=False)
+        m = DeformMap("id", "id", DERIV, COORD)
+        with pytest.raises(AttributeError):
+            m.preserves_degree = False
+
+    def test_direct_identity_images_carry_a_unchanged(self):
+        from qdeform.dsl import pretty
+
+        m = DeformMap("id", "id", DERIV, COORD)
+        assert m.image(A_DIAG) is A_DIAG
+        assert pretty(m.image(op_prod(A_DIAG, DERIV))) == "A*d"
+
+    def test_direct_shift_images_intertwine_a(self):
+        # the shift images do not preserve the degree, so A moves into
+        # their adapted basis and still intertwines
+        m = DeformMap("pd", "pd", a_delta_expr(1), b_delta_expr(1), delta=1)
+        assert not m.preserves_degree
+        assert intertwine_check(A_DIAG, Poly([1, 2, 3]), m, 6)
+        assert intertwine_check(A_DIAG, Poly([1, 2, 3]), phi_delta(1), 6)
 
 
 class TestAdaptedBases:

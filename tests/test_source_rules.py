@@ -1,0 +1,20 @@
+"""Rules the library source keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qdeform").glob("*.py"))
+
+
+def test_sources_found():
+    assert any(p.name == "maps.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # assert is stripped under python -O, so it is never a runtime gate
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], "%s has assert statements on lines %s" % (path.name, lines)
