@@ -244,16 +244,24 @@ def residual(
 ) -> Poly:
     """(H - lambda_k) h, exactly; the zero polynomial certifies an eigenpair."""
     variant = HahnVariant(variant)
-    op = build(variant, params, ctx)
+    return _residual(build(variant, params, ctx), h, spectrum(variant, params, k, ctx))
+
+
+def _residual(op: OpExpr, h: Poly, lam: Fraction) -> Poly:
     p = h.to_monomial()
-    lam = spectrum(variant, params, k, ctx)
     return apply(op, p, working_degree(max(p.degree, 0), op)) - p.scale(lam)
 
 
 def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
-    """Compare realized diagonals against the closed-form spectra across
-    parameter sets and q values (rationals or QContexts); reports per-check
-    booleans."""
+    """Compare realized diagonals 0..kmax against the closed-form spectra
+    across parameter sets and q values (rationals or QContexts); reports
+    per-check booleans.
+
+    Each operator is realized through kmax only: its entries 0..kmax, and
+    whether a column is overflow-marked, are the same as in a realization
+    through any larger D. D only bounds kmax, as in eigenpolynomials."""
+    if kmax > D:
+        raise ValueError("kmax exceeds the truncation degree")
     entries = []
     for params in paramsets:
         cases = [
@@ -268,9 +276,9 @@ def isospectral_check(paramsets, qs, kmax: int, D: int) -> dict:
             entry = {"check": check, "params": _param_tag(params)}
             if ctx is not None:
                 entry["q"] = str(ctx.q)
-            lin = realize_exact(build(variant, params, ctx), D)
+            lin = realize_exact(build(variant, params, ctx), kmax)
             expect = [spectrum(variant, params, k, ctx) for k in range(kmax + 1)]
-            entry["ok"] = list(lin.diagonal()[: kmax + 1]) == expect
+            entry["ok"] = list(lin.diagonal()) == expect
             entries.append(entry)
     return {"ok": all(e["ok"] for e in entries), "entries": entries}
 
@@ -296,17 +304,18 @@ def table_rows(
     variant's basis, and the residual (which must be exactly zero)."""
     variant = HahnVariant(variant)
     polys = eigenpolynomials(variant, params, kmax, D, ctx)
+    op = build(variant, params, ctx)
     rows = []
     for k, h in enumerate(polys):
-        res = residual(variant, params, h, k, ctx)
+        lam = spectrum(variant, params, k, ctx)
         rows.append(
             {
                 "variant": variant.value,
                 "params": _param_tag(params),
                 "k": k,
-                "eigenvalue": str(spectrum(variant, params, k, ctx)),
+                "eigenvalue": str(lam),
                 "coefficients": [str(c) for c in h.coeffs],
-                "residual": res.to_text(),
+                "residual": _residual(op, h, lam).to_text(),
             }
         )
     return rows

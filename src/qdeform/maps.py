@@ -68,6 +68,7 @@ from .opcore import (
     DiagInv,
     ExpOp,
     IDENT,
+    IntPow,
     LinOp,
     OpExpr,
     _extend_dual_rows,
@@ -194,6 +195,8 @@ class DeformMap:
         preserves the degree operator when it is CCR and each certified |n>
         is a single monomial, for then ba|n> = n|n> = A|n>; later basis
         growth is not read, so the answer does not depend on call order.
+        A non-CCR map then keeps only |0>: basis_element and dual_rows refuse
+        it, so nothing could read the rest.
         """
         if not apply(self.image_a, Poly.one(), D).is_zero:
             raise MapConstructionError(
@@ -201,7 +204,9 @@ class DeformMap:
             )
         with self._basis_lock:
             self._extend(D + 1)
-        monomial = all(not any(ket._num[:-1]) for ket in self._basis)
+            monomial = all(not any(ket._num[:-1]) for ket in self._basis)
+            if not self.is_ccr:
+                del self._basis[1:]
         object.__setattr__(self, "preserves_degree", self.is_ccr and monomial)
 
     # -- adapted basis --------------------------------------------------
@@ -490,6 +495,27 @@ def intertwine_check(G: OpExpr, f: Poly, m: DeformMap, D: int) -> bool:
     lhs = apply(m.image(G), b_projection(f, m, D), D)
     rhs = b_projection(apply(G, f, D), m, D)
     return lhs == rhs
+
+
+def intertwine_words(m: DeformMap, inputs, D: int) -> bool:
+    """intertwine_check for the words d, x, x*d and d^2, in that order, on
+    each input f in turn; False at the first word and input that fail.
+
+    The verdict and every value compared are those of intertwine_check, but
+    each f is projected once, to Pf, and the lowering image a is applied to
+    Pf once, to u: the left sides are u, b Pf, b u and a u."""
+
+    def left_sides(f):
+        pf = b_projection(f, m, D)
+        u = apply(m.image_a, pf, D)
+        yield DERIV, u
+        yield COORD, apply(m.image_b, pf, D)
+        yield op_prod(COORD, DERIV), apply(m.image_b, u, D)
+        yield IntPow(DERIV, 2), apply(m.image_a, u, D)
+
+    return all(
+        lhs == b_projection(apply(G, f, D), m, D) for f in inputs for G, lhs in left_sides(f)
+    )
 
 
 # ---------------------------------------------------------------------------

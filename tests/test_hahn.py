@@ -215,6 +215,21 @@ class TestIsospectral:
             "q-spectrum-diagonal",
         }
 
+    def test_kmax_bound(self):
+        # D bounds kmax, as in eigenpolynomials
+        with pytest.raises(ValueError, match="kmax exceeds the truncation degree"):
+            isospectral_check([HahnParams(0, 0, 5)], [Fraction(1, 2)], 9, 8)
+
+    def test_realizes_through_kmax_only(self, monkeypatch):
+        degrees = []
+        realize = qdeform.hahn.realize_exact
+        monkeypatch.setattr(
+            qdeform.hahn, "realize_exact", lambda e, D: degrees.append(D) or realize(e, D)
+        )
+        report = isospectral_check(PARAM_SETS[:2], [Fraction(1, 2)], 5, 12)
+        assert report["ok"]
+        assert degrees == [5] * 8
+
     def test_diagonals_match_closed_forms(self):
         ctx = ctx_for(Fraction(1, 2))
         D = 12
@@ -235,6 +250,15 @@ class TestTable:
         assert rows[2]["eigenvalue"] == "-6"
         assert all(r["residual"] == "0" for r in rows)
         assert all(r["variant"] == "continuous" for r in rows)
+
+    def test_operator_built_once_per_table(self, monkeypatch):
+        # one build for the eigenpolynomial solve, one for every residual
+        built = []
+        orig = qdeform.hahn.build
+        monkeypatch.setattr(qdeform.hahn, "build", lambda *a: built.append(a) or orig(*a))
+        rows = table_rows(HahnVariant.Q_DEFORMED, PARAMS, 6, 8, ctx_for(Fraction(1, 2)))
+        assert all(r["residual"] == "0" for r in rows)
+        assert len(built) == 2
 
 
 def _pochhammer(a, j):

@@ -184,7 +184,10 @@ class TestConstruction:
         with pytest.raises(MapConstructionError, match="does not annihilate constants$"):
             DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
         assert calls == []
-        assert [len(m._basis) for m in built] == [CHECK_DEGREE + 2] * 5
+        assert [len(m._basis) for m in built] == [CHECK_DEGREE + 2] * 4 + [1]
+        # the non-CCR map keeps only |0>; its basis stays closed to callers
+        with pytest.raises(UnsupportedBasisOperationError):
+            built[-1].basis_element(1)
         # the patch is live: a realized commutator goes through it
         q_commutator(DERIV, COORD, q, 2)
         assert len(calls) == 1

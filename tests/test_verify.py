@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from qdeform import hahn, maps, verify
 from qdeform.cli import main
+from qdeform.opcore import COORD, DERIV, IntPow, op_prod
 from qdeform.poly import Poly
 from qdeform.qnum import QContext
 from qdeform.verify import MIN_DEGREE, SUITES, run_suite
@@ -88,3 +90,40 @@ def test_perturbed_ingredient_fails_the_suite(capsys, monkeypatch, fresh_memo, n
     assert any(line.startswith("FAIL ") for line in out)
     held, total = map(int, out[-1].split()[0].split("/"))
     assert held < total
+
+
+def _off_by_one_projection(monkeypatch):
+    orig = maps.b_projection
+    monkeypatch.setattr(maps, "b_projection", lambda f, m, D: orig(f + Poly.one(), m, D))
+
+
+@pytest.mark.parametrize("perturb", [None, _off_by_one_projection])
+def test_intertwine_suite_agrees_with_intertwine_check(ctx, monkeypatch, fresh_memo, perturb):
+    # the suite's verdict per map is intertwine_check on every word and the
+    # suite's own draws, under a true projection and a broken one
+    if perturb:
+        perturb(monkeypatch)
+    delta, D = Fraction(1, 2), 10
+    rng = random.Random(verify._SEED)
+    words = [DERIV, COORD, op_prod(COORD, DERIV), IntPow(DERIV, 2)]
+    expected = []
+    for m in (
+        maps.phi_q(ctx),
+        maps.phi_delta(delta),
+        maps.compose(maps.phi_q(ctx), maps.phi_delta(delta)),
+        maps.compose(maps.phi_delta(delta), maps.phi_q(ctx)),
+    ):
+        inputs = [verify.random_poly(rng, max(1, D - 3)) for _ in range(10)]
+        expected.append(all(maps.intertwine_check(G, f, m, D) for f in inputs for G in words))
+    verdicts = [c.ok for c in run_suite("intertwine", ctx, delta, D)]
+    assert verdicts == expected
+    assert all(verdicts) == (perturb is None)
+
+
+def test_intertwine_projects_each_input_once(capsys, monkeypatch):
+    # 4 maps x 10 inputs x (one projection of f + one per word of G f)
+    calls = []
+    orig = maps.b_projection
+    monkeypatch.setattr(maps, "b_projection", lambda *args: calls.append(args) or orig(*args))
+    assert main(["verify", "intertwine", "--q=1/2", "--delta=1", "--degree", "10"]) == 0
+    assert len(calls) <= 200
