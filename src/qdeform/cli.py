@@ -92,9 +92,14 @@ def _emit(fmt: str, data, text, csv=None):
         print(line)
 
 
+def _csv(p: Poly, sep: str = " ") -> str:
+    """p's coefficients joined by sep for csv; the zero polynomial is 0."""
+    return sep.join(map(str, p.coeffs)) or "0"
+
+
 def _emit_poly(p: Poly, fmt: str):
     """Emit p; its lines are lazy, so only the requested format renders it."""
-    csv = (",".join(str(c) for c in q.coeffs) or "0" for q in [p])
+    csv = (_csv(q, ",") for q in [p])
     _emit(fmt, p.to_json, (q.to_text() for q in [p]), csv)
 
 
@@ -119,7 +124,7 @@ def cmd_realize(args) -> int:
         args.format,
         lin.to_json,
         ("x^%d -> %s" % (n, "overflow" if c is None else c.to_text()) for n, c in cols),
-        ("%d,%s" % (n, "overflow" if c is None else " ".join(map(str, c.coeffs))) for n, c in cols),
+        ("%d,%s" % (n, "overflow" if c is None else _csv(c)) for n, c in cols),
     )
     return 0
 
@@ -166,7 +171,7 @@ def cmd_basis(args) -> int:
         args.format,
         lambda: {"map": m.to_json(), "elements": [p.to_json() for _, p in rows]},
         ("|%d> = %s" % (n, p.to_text()) for n, p in rows),
-        ("%d,%s" % (n, " ".join(str(c) for c in p.coeffs) or "0") for n, p in rows),
+        ("%d,%s" % (n, _csv(p)) for n, p in rows),
     )
     return 0
 

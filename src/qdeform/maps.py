@@ -40,9 +40,11 @@ sees a partly built one. ``fb_map`` (a user callable has no structural key)
 and ``DeformMap(...)`` itself always build a fresh map.
 
 Maps are frozen dataclasses: assigning or deleting any attribute raises
-AttributeError, and the memo key is not a constructor parameter. The
-adapted-basis cache and the dual rows a map hands out to its spectral
-diagonals (``dual_rows``) grow in place under the map's lock with
+AttributeError, and the memo key is not a constructor parameter. A map
+owns the change of coordinates to its adapted basis, which its spectral
+diagonals ask for: ``components`` reads a polynomial's components off dual
+rows (row k is x^k in the basis), and ``combine`` sums them against the
+basis. The basis and the dual rows grow in place under the map's lock with
 deterministic entries, so concurrent reads see values identical to a
 single-threaded run; a cached basis element is read without the lock.
 """
@@ -71,7 +73,6 @@ from .opcore import (
     IntPow,
     LinOp,
     OpExpr,
-    _extend_dual_rows,
     apply,
     dbracket_diag,
     gamma_ratio_diag,
@@ -195,7 +196,7 @@ class DeformMap:
         preserves the degree operator when it is CCR and each certified |n>
         is a single monomial, for then ba|n> = n|n> = A|n>; later basis
         growth is not read, so the answer does not depend on call order.
-        A non-CCR map then keeps only |0>: basis_element and dual_rows refuse
+        A non-CCR map then keeps only |0>: basis_element and components refuse
         it, so nothing could read the rest.
         """
         if not apply(self.image_a, Poly.one(), D).is_zero:
@@ -252,15 +253,28 @@ class DeformMap:
                 )
             self._basis.append(nxt)
 
-    def dual_rows(self, N: int) -> list:
-        """The components of x^k along |0..k>, k <= N, for the spectral
-        diagonals this map owns; extended in place and shared."""
+    def components(self, p: Poly) -> Poly:
+        """The components of p along |0..deg p> as a Poly's coefficients,
+        sum_k p_k row_k. Row k, x^k in the adapted basis, is built once and
+        kept: |k> = num_k / den_k has exact degree k (_extend checks it),
+        so x^k = (den_k |k> - sum_(j<k) num_k[j] x^j) / num_k[k]."""
         rows = self._dual_rows
-        if len(rows) <= N:
-            self.basis_element(N)  # so the rows below read the basis lock-free
+        if len(rows) <= p.degree:
+            self.basis_element(p.degree)  # first: the lock is not reentrant
             with self._basis_lock:
-                _extend_dual_rows(self.label, self.basis_element, rows, N)
-        return rows
+                for k in range(len(rows), p.degree + 1):
+                    ket = self._basis[k]
+                    terms = [(-c, rows[j]) for j, c in enumerate(ket._num[:k])]
+                    terms.append((ket._den, Poly.monomial(k)))
+                    rows.append(Poly._lincomb(terms, ket._num[k]))
+        return Poly._lincomb(zip(p._num, rows), p._den)
+
+    def combine(self, c: Poly) -> Poly:
+        """sum_n c_n |n>: the monomial-basis polynomial whose components
+        along the adapted basis are the coefficients of c."""
+        return Poly._lincomb(
+            ((a, self.basis_element(n)) for n, a in enumerate(c._num) if a), c._den
+        )
 
     # -- generator substitution ------------------------------------------
 
@@ -274,11 +288,7 @@ class DeformMap:
             if e not in generators:
                 raise UnsupportedCompositionError("cannot substitute into %r" % (e,))
             return generators[e]
-        if e.basis is not None:
-            if not isinstance(e.owner, DeformMap):
-                raise UnsupportedCompositionError(
-                    "%s: basis-diagonal node without an owning map" % self.label
-                )
+        if e.owner is not None:
             owner = compose(self, e.owner)
         elif self.preserves_degree:
             return e
@@ -290,9 +300,7 @@ class DeformMap:
             raise UnsupportedCompositionError(
                 "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
             )
-        return replace(
-            e, name="%s@%s" % (e.name, owner.label), basis=owner.basis_element, owner=owner
-        )
+        return replace(e, name="%s@%s" % (e.name, owner.label), owner=owner)
 
     def to_json(self) -> dict:
         if self.kind == "compose":
@@ -487,7 +495,7 @@ def b_projection(f: Poly, m: DeformMap, D: int) -> Poly:
         raise UnsupportedBasisOperationError("projection input must be monomial-basis")
     if f.degree > D:
         raise ValueError("series degree %d exceeds truncation %d" % (f.degree, D))
-    return Poly._lincomb(((c, m.basis_element(n)) for n, c in enumerate(f._num) if c), f._den)
+    return m.combine(f)
 
 
 def intertwine_check(G: OpExpr, f: Poly, m: DeformMap, D: int) -> bool:

@@ -29,10 +29,10 @@ derivative, so exp(h G d) is the Taylor shift conjugated by U. When G is
 inverted with a zero eigenvalue below the input's degree, or g cannot be
 evaluated there, the series runs instead, and raises where it always has.
 
-A diagonal in an adapted basis reads the components of its input off dual
-rows, row k being x^k in that basis; the owner map builds each row once and
-keeps it. Expressions and realizations are immutable, and the dual rows
-grow under their owner's lock; concurrent use is safe.
+A diagonal in a map's adapted basis leaves the change of coordinates to
+that map, its owner: it asks the owner for the components of its input,
+weights them, and has the owner recombine them. Expressions and
+realizations are immutable; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import (
-    BasisMismatchError,
     DegreeOverflowError,
     EmptyWindowError,
     MathError,
@@ -269,26 +268,24 @@ class IntPow(Op):
 
 @dataclass(frozen=True, slots=True)
 class DiagFn(Op):
-    """Diagonal in a polynomial basis: the component along basis(n) is
-    scaled by fn(n), or divided by it when inverse; fn must be total on the
-    occupied degrees. basis None means the monomials, x^n -> fn(n) x^n;
-    otherwise basis(n) is a monomial-basis Poly of exact degree n, and owner
-    the DeformMap whose adapted basis it is, which hands out the dual rows
-    the node reads (without an owner they are rebuilt on every application).
-    basis must be pure, since the owner keeps the rows it has built."""
+    """g of a degree operator: the n-th basis element is scaled by fn(n),
+    or divided by it when inverse; fn must be total on the occupied
+    degrees. owner None means the monomials, x^n -> fn(n) x^n; otherwise
+    owner is the DeformMap whose adapted basis |n> the node is diagonal
+    in, which changes coordinates to that basis and back."""
 
     name: str
     fn: Callable[[int], Fraction]
-    basis: Optional[Callable[[int], Poly]] = None
     inverse: bool = False
     owner: object = None
 
     bounds = (0, 0)
 
     def act(self, p: Poly, D: int) -> Poly:
-        if self.basis is not None:
-            return _basis_apply(self, p)
-        return p._diag(partial(_divisor, self) if self.inverse else self.fn, self.inverse)
+        g = partial(_divisor, self) if self.inverse else self.fn
+        if self.owner is None:
+            return p._diag(g, self.inverse)
+        return self.owner.combine(self.owner.components(p)._diag(g, self.inverse))
 
     @property
     def text(self):
@@ -431,7 +428,7 @@ def _shift_steps(arg, N):
     for f in factors[:-1]:
         if isinstance(f, Scaled) and isinstance(f.op, Ident):
             h *= f.c
-        elif isinstance(f, DiagFn) and f.basis is None and g is None:
+        elif isinstance(f, DiagFn) and f.owner is None and g is None:
             g = f
         else:
             return None
@@ -455,64 +452,10 @@ def _divisor(diag, n: int) -> Fraction:
     return g
 
 
-def _basis_apply(bd: DiagFn, p: Poly) -> Poly:
-    """bd on p: the components of p along bd.basis are sum_k p_k row_k, read
-    from p's numerators; they are weighted by fn (divided by it when
-    inverse) and recombined as sum_j w_j basis(j). The owner map hands out
-    its rows; a node without one builds them for this call only."""
-    N = p.degree
-    if bd.owner is None:
-        rows = _extend_dual_rows(bd.name, bd.basis, [], N)
-    else:
-        rows = bd.owner.dual_rows(N)
-    comps = Poly._lincomb(zip(p._num, rows), p._den)
-    w = comps._diag(partial(_divisor, bd) if bd.inverse else bd.fn, bd.inverse)
-    return Poly._lincomb(((c, bd.basis(j)) for j, c in enumerate(w._num) if c), w._den)
-
-
-def _extend_dual_rows(name: str, basis, rows: list, N: int) -> list:
-    """Extend rows through N, row k holding the components of x^k along
-    basis(0..k) as the coefficients of a Poly. basis(k) = num_k / den_k
-    has exact degree k, so x^k = (den_k |k> - sum_(j<k) num_k[j] x^j) /
-    num_k[k]: one integer combination of the rows below it."""
-    for k in range(len(rows), N + 1):
-        bk = basis(k)
-        if bk.basis != MONOMIAL:
-            raise BasisMismatchError("basis mismatch: %r vs %r" % (MONOMIAL, bk.basis))
-        if bk.degree != k:
-            raise SingularOperatorError(
-                "%s: basis element %d has degree %d" % (name, k, bk.degree)
-            )
-        num = bk._num
-        terms = [(-c, rows[j]) for j, c in enumerate(num[:k])]
-        terms.append((bk._den, Poly.monomial(k)))
-        rows.append(Poly._lincomb(terms, num[k]))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Degree bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def degree_raise_bound(e: OpExpr):
-    """Upper bound on the total degree shift of e (may be -inf-like negative,
-    or math.inf for exponentials of raising operators)."""
-    return e.bounds[0]
-
-
-def peak_raise(e: OpExpr):
-    """Maximum intermediate degree raise along the action path of e.
-
-    Working at truncation D + peak_raise(e) guarantees apply() cannot
-    overflow on inputs of degree <= D whose exact image fits in D."""
-    return e.bounds[1]
-
-
 def working_degree(D: int, *exprs) -> int:
     """Truncation at which every expr acts on inputs of degree <= D without
-    overflow: D plus the largest peak raise among them."""
-    margin = max((peak_raise(e) for e in exprs), default=0)
+    overflow: D plus the largest peak raise among them (see Op.bounds)."""
+    margin = max((e.bounds[1] for e in exprs), default=0)
     if margin == math.inf:
         raise NonterminatingExponentialError(
             "cannot bound the degree growth of this operator"

@@ -148,6 +148,11 @@ class TestRealize:
         code, out, _ = run(capsys, "realize", "d", "--degree", "2")
         assert (code, out) == (0, "x^0 -> 0\nx^1 -> 1\nx^2 -> 2*x\n")
 
+    def test_csv_zero_column(self, capsys):
+        # the zero image is written 0, as apply and basis write it
+        code, out, _ = run(capsys, "realize", "d", "--degree", "2", "--format", "csv")
+        assert (code, out) == (0, "0,0\n1,1\n2,0 2\n")
+
     def test_overflow_marking(self, capsys):
         code, out, _ = run(capsys, "realize", "x", "--degree", "2", "--format", "json")
         data = json.loads(out)

@@ -360,7 +360,7 @@ class TestComposition:
                 op_prod(COORD, op_sum(IDENT, scaled(-1, ExpOp(scaled(-delta, DERIV))))),
             ),
         )
-        spectral = DiagFn("B@delta", lambda n: Fraction(n + 1), basis=md.basis_element)
+        spectral = DiagFn("B@delta", lambda n: Fraction(n + 1), owner=md)
         assert realize_exact(explicit, 8) == realize_exact(spectral, 8)
         for n in range(8):
             ket = adapted_basis(md, n, 10)

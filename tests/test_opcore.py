@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q_GRID, monomial_polys, small_rationals
@@ -10,7 +10,6 @@ from qdeform import opcore
 from qdeform.cli import main
 from qdeform.dsl import parse
 from qdeform.errors import (
-    BasisMismatchError,
     DegreeOverflowError,
     EmptyWindowError,
     NonterminatingExponentialError,
@@ -32,11 +31,9 @@ from qdeform.opcore import (
     apply,
     commutator,
     dbracket_diag,
-    degree_raise_bound,
     gamma_ratio_diag,
     op_prod,
     op_sum,
-    peak_raise,
     q_commutator,
     qnum_diag,
     realize,
@@ -507,17 +504,17 @@ class TestStar:
 
 class TestBounds:
     def test_degree_raise_bound(self):
-        assert degree_raise_bound(COORD) == 1
-        assert degree_raise_bound(DERIV) == -1
-        assert degree_raise_bound(op_prod(COORD, COORD, DERIV)) == 1
-        assert degree_raise_bound(IntPow(COORD, 3)) == 3
-        assert degree_raise_bound(ExpOp(DERIV)) == 0
-        assert degree_raise_bound(ExpOp(COORD)) == math.inf
+        assert COORD.bounds[0] == 1
+        assert DERIV.bounds[0] == -1
+        assert op_prod(COORD, COORD, DERIV).bounds[0] == 1
+        assert IntPow(COORD, 3).bounds[0] == 3
+        assert ExpOp(DERIV).bounds[0] == 0
+        assert ExpOp(COORD).bounds[0] == math.inf
 
     def test_peak_raise(self):
-        assert peak_raise(op_prod(DERIV, IntPow(COORD, 2))) == 2
-        assert peak_raise(op_prod(IntPow(COORD, 2), DERIV)) == 1
-        assert peak_raise(ExpOp(scaled(-1, DERIV))) == 0
+        assert op_prod(DERIV, IntPow(COORD, 2)).bounds[1] == 2
+        assert op_prod(IntPow(COORD, 2), DERIV).bounds[1] == 1
+        assert ExpOp(scaled(-1, DERIV)).bounds[1] == 0
 
 
 def ref_basis_apply(vals, basis, inverse, p):
@@ -544,58 +541,64 @@ nonzero_rationals = small_rationals.filter(bool)
 
 
 @st.composite
-def triangular_cases(draw):
-    """(basis, eigenvalues, p): basis[n] of exact degree n with a nonzero,
-    usually non-monic, rational leading coefficient; nonzero eigenvalues;
-    p of degree at most N, the zero polynomial included."""
+def owned_cases(draw, maps):
+    """(map, eigenvalues, p): phi_delta or one of its composites with phi_q,
+    whose adapted bases are not monomial; nonzero eigenvalues; p of degree
+    at most N, the zero polynomial included."""
+    kind = draw(st.sampled_from(["phi_delta", "phi_q_delta", "phi_delta_q"]))
+    m = maps.make_map(kind, q=draw(st.sampled_from(Q_GRID)), delta=draw(nonzero_rationals))
     N = draw(st.integers(0, 6))
-    basis = [
-        Poly(draw(st.lists(small_rationals, min_size=n, max_size=n)) + [draw(nonzero_rationals)])
-        for n in range(N + 1)
-    ]
     vals = draw(st.lists(nonzero_rationals, min_size=N + 1, max_size=N + 1))
-    return basis, vals, Poly(draw(st.lists(small_rationals, max_size=N + 1)))
+    return m, vals, Poly(draw(st.lists(small_rationals, max_size=N + 1)))
+
+
+def shifted_map():
+    """The CCR pair (d, x - 1), whose adapted basis is (x - 1)^n."""
+    from qdeform.maps import DeformMap
+
+    return DeformMap("shifted", "shifted", DERIV, op_sum(COORD, scaled(-1, IDENT)))
 
 
 class TestBasisDiag:
-    @given(case=triangular_cases(), inverse=st.booleans())
-    @settings(max_examples=60)
-    def test_matches_top_down_elimination(self, case, inverse):
-        basis, vals, p = case
-        bd = DiagFn("g", vals.__getitem__, basis=basis.__getitem__, inverse=inverse)
-        assert opcore._basis_apply(bd, p) == ref_basis_apply(vals, basis, inverse, p)
+    @given(data=st.data(), inverse=st.booleans())
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_top_down_elimination(self, fresh_memo, data, inverse):
+        m, vals, p = data.draw(owned_cases(fresh_memo))
+        bd = DiagFn("g", vals.__getitem__, inverse=inverse, owner=m)
+        basis = [m.basis_element(n) for n in range(len(vals))]
+        assert apply(bd, p, len(vals) - 1) == ref_basis_apply(vals, basis, inverse, p)
 
-    def test_zero_polynomial(self):
-        basis = [Poly.one(), Poly([1, 2]), Poly([0, 1, Fraction(-3, 2)])]
+    def test_zero_polynomial(self, fresh_memo):
+        m = fresh_memo.phi_delta(Fraction(1, 3))
         for inverse in (False, True):
-            bd = DiagFn("g", lambda n: Fraction(0), basis=basis.__getitem__, inverse=inverse)
-            assert opcore._basis_apply(bd, Poly.zero()) == Poly.zero()
+            bd = DiagFn("g", lambda n: Fraction(0), inverse=inverse, owner=m)
+            assert apply(bd, Poly.zero(), 2) == Poly.zero()
 
     def test_rows_are_kept_on_the_owner(self, fresh_memo):
         m = fresh_memo.phi_delta(Fraction(1, 3))
         vals = [Fraction(n + 1, 2) for n in range(10)]
-        bd = DiagFn("g", vals.__getitem__, basis=m.basis_element, owner=m)
+        bd = DiagFn("g", vals.__getitem__, owner=m)
         basis = [m.basis_element(n) for n in range(10)]
         p = Poly([Fraction(k - 4, k + 1) for k in range(8)])
-        assert opcore._basis_apply(bd, p) == ref_basis_apply(vals, basis, False, p)
+        assert apply(bd, p, 9) == ref_basis_apply(vals, basis, False, p)
         rows = list(m._dual_rows)
         assert len(rows) == 8
-        assert opcore._basis_apply(bd, p.truncated(5)) == ref_basis_apply(vals, basis, False, p.truncated(5))
+        assert apply(bd, p.truncated(5), 9) == ref_basis_apply(vals, basis, False, p.truncated(5))
         assert m._dual_rows == rows  # read, not rebuilt
         q = Poly([1, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(2, 3)])
-        assert opcore._basis_apply(DiagInv(bd), q) == ref_basis_apply(vals, basis, True, q)
+        assert apply(DiagInv(bd), q, 9) == ref_basis_apply(vals, basis, True, q)
         assert len(m._dual_rows) == 10 and m._dual_rows[:8] == rows
 
     def test_perturbed_dual_row_is_caught(self, fresh_memo):
         m = fresh_memo.phi_delta(Fraction(1, 3))
         vals = [Fraction(n + 1) for n in range(4)]
-        bd = DiagFn("g", vals.__getitem__, basis=m.basis_element, owner=m)
+        bd = DiagFn("g", vals.__getitem__, owner=m)
         basis = [m.basis_element(n) for n in range(4)]
         p = Poly([1, -2, 3, Fraction(1, 2)])
         expected = ref_basis_apply(vals, basis, False, p)
-        assert opcore._basis_apply(bd, p) == expected
+        assert apply(bd, p, 3) == expected
         m._dual_rows[2] = m._dual_rows[2] + Poly.monomial(1, Fraction(1, 5))
-        assert opcore._basis_apply(bd, p) != expected
+        assert apply(bd, p, 3) != expected
 
     def test_concurrent_applications_share_one_set_of_rows(self, fresh_memo):
         import sys
@@ -603,7 +606,7 @@ class TestBasisDiag:
 
         m = fresh_memo.phi_delta(Fraction(2, 7))
         vals = [Fraction(n + 3, n + 1) for n in range(14)]
-        bd = DiagFn("g", vals.__getitem__, basis=m.basis_element, owner=m)
+        bd = DiagFn("g", vals.__getitem__, owner=m)
         basis = [m.basis_element(n) for n in range(14)]
         polys = [Poly([Fraction(k + i, 2 * k + 1) for k in range(i + 1)]) for i in range(14)]
         expected = [ref_basis_apply(vals, basis, False, p) for p in polys]
@@ -614,7 +617,7 @@ class TestBasisDiag:
             try:
                 barrier.wait(timeout=30)
                 order = list(range(14))[:: -1 if i % 2 else 1]
-                results[i] = {n: opcore._basis_apply(bd, polys[n]) for n in order}
+                results[i] = {n: apply(bd, polys[n], 13) for n in order}
             except Exception as exc:  # pragma: no cover - diagnostic only
                 errors.append(exc)
 
@@ -630,32 +633,16 @@ class TestBasisDiag:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors
         assert all([r[n] for n in range(14)] == expected for r in results)
-        assert m._dual_rows == opcore._extend_dual_rows(bd.name, bd.basis, [], 13)
+        # the rows one thread builds on an unshared copy of the map
+        alone = fresh_memo.DeformMap("copy", "copy", m.image_a, m.image_b)
+        alone.components(Poly.monomial(13))
+        assert m._dual_rows == alone._dual_rows
 
-    def test_wrong_degree_element_names_the_lowest(self):
-        # the rows are built upwards through the input's degree: the lowest
-        # bad element is reported, also where the input has no component
-        basis = [Poly.monomial(n) for n in range(6)]
-        basis[2], basis[4] = Poly.monomial(1), Poly.monomial(3)
-        bd = DiagFn("bad", lambda n: Fraction(1), basis=basis.__getitem__)
-        with pytest.raises(SingularOperatorError) as err:
-            apply(bd, Poly([0, 0, 1, 0, 1]), 5)
-        assert str(err.value) == "bad: basis element 2 has degree 1"
-        with pytest.raises(SingularOperatorError) as err:
-            apply(bd, Poly.monomial(3), 5)
-        assert str(err.value) == "bad: basis element 2 has degree 1"
-
-    def test_falling_basis_element_is_a_mismatch(self):
-        basis = [Poly.one(), Poly.falling_element(1, 1)]
-        bd = DiagFn("g", lambda n: Fraction(2), basis=basis.__getitem__)
-        with pytest.raises(BasisMismatchError) as err:
-            apply(bd, Poly.x(), 2)
-        assert str(err.value) == "basis mismatch: Monomial() vs FallingFactorial(delta=Fraction(1, 1))"
-
-    def test_singular_inverse_names_the_lowest_zero(self):
+    def test_singular_inverse_names_the_lowest_zero(self, fresh_memo):
         # weights are taken from the lowest component up
-        basis = [Poly([1] * (n + 1)) for n in range(6)]
-        g = DiagFn("g", lambda n: Fraction(n % 2), basis=basis.__getitem__)
+        m = fresh_memo.phi_delta(Fraction(1, 2))
+        basis = [m.basis_element(n) for n in range(6)]
+        g = DiagFn("g", lambda n: Fraction(n % 2), owner=m)
         with pytest.raises(SingularOperatorError) as err:
             apply(DiagInv(g), basis[4] + basis[2].scale(3), 5)
         assert str(err.value) == "inv(g) hit eigenvalue 0 at occupied degree 2"
@@ -663,25 +650,27 @@ class TestBasisDiag:
         p = basis[3] + basis[1].scale(3)
         assert apply(DiagInv(g), p, 5) == p
 
-    def test_monomial_basis_reduces_to_diagfn(self):
-        bd = DiagFn("n+1", lambda n: Fraction(n + 1), basis=lambda n: Poly.monomial(n))
+    def test_monomial_basis_reduces_to_diagfn(self, fresh_memo):
+        bd = DiagFn("n+1", lambda n: Fraction(n + 1), owner=fresh_memo.identity_map())
         assert realize_exact(bd, 6) == realize_exact(B_DIAG, 6)
 
     def test_nontrivial_basis(self):
         # basis (x - 1)^n: components found by triangular elimination
+        m = shifted_map()
         basis = [Poly.one()]
         for n in range(1, 8):
             basis.append(basis[-1] * Poly([-1, 1]))
-        bd = DiagFn("shifted", lambda n: Fraction(2) ** n, basis=lambda n: basis[n])
+        assert [m.basis_element(n) for n in range(8)] == basis
+        bd = DiagFn("shifted", lambda n: Fraction(2) ** n, owner=m)
         p = basis[3] + basis[1].scale(5)
         out = apply(bd, p, 8)
         assert out == basis[3].scale(8) + basis[1].scale(10)
 
     def test_inverse(self):
-        basis = [Poly.one(), Poly([1, 1]), Poly([1, 0, 1])]
-        bd = DiagFn("g", lambda n: Fraction(n + 1), basis=lambda n: basis[n])
-        p = basis[2].scale(3)
-        assert apply(DiagInv(bd), p, 4) == basis[2]
+        m = shifted_map()
+        bd = DiagFn("g", lambda n: Fraction(n + 1), owner=m)
+        p = m.basis_element(2).scale(3)
+        assert apply(DiagInv(bd), p, 4) == m.basis_element(2)
 
 
 class TestRealizationMemo:

@@ -18,3 +18,18 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], "%s has assert statements on lines %s" % (path.name, lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    # a module's underscore names are its own; another module asks it through
+    # a public name instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qdeform"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], "%s imports private names %s" % (path.name, private)
