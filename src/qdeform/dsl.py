@@ -26,9 +26,7 @@ monomial; printing a parse is idempotent on the text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError, SemanticError, SingularOperatorError
 from .maps import a_delta_expr, b_delta_expr, dq_expr, mq_expr, s_expr, xq_expr
@@ -56,7 +54,7 @@ from .opcore import (
     working_degree,
 )
 from .poly import MONOMIAL, Poly
-from .qnum import QContext, rational
+from .qnum import QContext, Record, rational
 
 # Groups, calls and unary minus each open one level, and a "^" opens one below
 # the deepest level its primary reached. No path may cross more levels, which
@@ -69,12 +67,10 @@ _Q_ATOMS = {"Mq": mq_expr, "Dq": dq_expr, "xq": xq_expr, "S": s_expr, "U": gamma
 _DELTA_ATOMS = {"Ddelta": a_delta_expr, "xdelta": b_delta_expr}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | one of + - * ^ / ( ) | "end"
-    value: object
-    line: int
-    col: int
+class Token(Record):
+    """kind is "num", "name", "end" or one of + - * ^ / ( ), at line:col."""
+
+    __slots__ = ("kind", "value", "line", "col")
 
 
 def _describe(kind: str) -> str:
@@ -184,7 +180,7 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
-    def parse_input(self) -> Union[OpExpr, Poly]:
+    def parse_input(self) -> OpExpr | Poly:
         tok = self.peek()
         if tok.kind == "name" and tok.value == "poly":
             self.advance()
@@ -339,7 +335,7 @@ def parse(text: str, *, q=None, delta=None):
 # ---------------------------------------------------------------------------
 
 
-def pretty(e: Union[OpExpr, Poly]) -> str:
+def pretty(e: OpExpr | Poly) -> str:
     """Canonical text. Reparsing acts identically on all monomials; printing
     is idempotent. Diagonal nodes print their names, so display-only nodes
     (adapted-basis diagonals) yield text outside the grammar."""

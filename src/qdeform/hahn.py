@@ -17,10 +17,8 @@ structure dictates. Normalization is monic in the leading basis element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DegenerateSpectrumError, MathError, SpectrumMismatchError
 from .maps import a_delta_expr, b_delta_expr, dq_expr
@@ -41,11 +39,10 @@ from .opcore import (
     working_degree,
 )
 from .poly import FallingFactorial, Poly
-from .qnum import QContext, rational
+from .qnum import QContext, Record, rational
 
 
-@dataclass(frozen=True)
-class HahnParams:
+class HahnParams(Record):
     """Parameters (alpha, beta, N) plus the normalization constants.
 
     c1 and delta default to the customary normalization c1 = -1, delta = 1;
@@ -53,15 +50,10 @@ class HahnParams:
     c4 = (beta + 1)(N - 1).
     """
 
-    alpha: Fraction
-    beta: Fraction
-    N: Fraction
-    delta: Fraction = field(default=Fraction(1))
-    c1: Fraction = field(default=Fraction(-1))
+    __slots__ = ("alpha", "beta", "N", "delta", "c1")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "N", "delta", "c1"):
-            object.__setattr__(self, name, rational(getattr(self, name)))
+    def __init__(self, alpha, beta, N, delta=1, c1=-1):
+        super().__init__(*map(rational, (alpha, beta, N, delta, c1)))
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
 
@@ -101,7 +93,7 @@ def _coeff_poly(c0, c1x, c2x2):
     return op_sum(*terms)
 
 
-def build(variant: HahnVariant, params: HahnParams, ctx: Optional[QContext] = None) -> OpExpr:
+def build(variant: HahnVariant, params: HahnParams, ctx: QContext | None = None) -> OpExpr:
     """The operator for a variant as an expression; q-variants need a context."""
     variant = HahnVariant(variant)
     if variant in Q_VARIANTS and ctx is None:
@@ -164,7 +156,7 @@ def q_eigenvalue(params: HahnParams, ctx: QContext, k: int) -> Fraction:
 
 
 def spectrum(
-    variant: HahnVariant, params: HahnParams, k: int, ctx: Optional[QContext] = None
+    variant: HahnVariant, params: HahnParams, k: int, ctx: QContext | None = None
 ) -> Fraction:
     """The k-th eigenvalue of a variant (all share lambda_k except the
     q-spectrum variant, which carries lambda~_k)."""
@@ -196,7 +188,7 @@ def eigenpolynomials(
     params: HahnParams,
     kmax: int,
     D: int,
-    ctx: Optional[QContext] = None,
+    ctx: QContext | None = None,
 ) -> list:
     """Monic eigenpolynomials h_0..h_kmax of a variant.
 
@@ -240,7 +232,7 @@ def residual(
     params: HahnParams,
     h: Poly,
     k: int,
-    ctx: Optional[QContext] = None,
+    ctx: QContext | None = None,
 ) -> Poly:
     """(H - lambda_k) h, exactly; the zero polynomial certifies an eigenpair."""
     variant = HahnVariant(variant)
@@ -298,7 +290,7 @@ def table_rows(
     params: HahnParams,
     kmax: int,
     D: int,
-    ctx: Optional[QContext] = None,
+    ctx: QContext | None = None,
 ) -> list:
     """Per-k rows for table emission: exact eigenvalue, coefficients in the
     variant's basis, and the residual (which must be exactly zero)."""

@@ -39,14 +39,15 @@ LRU; two threads building the same key get the same map, and no thread
 sees a partly built one. ``fb_map`` (a user callable has no structural key)
 and ``DeformMap(...)`` itself always build a fresh map.
 
-Maps are frozen dataclasses: assigning or deleting any attribute raises
-AttributeError, and the memo key is not a constructor parameter. A map
-owns the change of coordinates to its adapted basis, which its spectral
-diagonals ask for: ``components`` reads a polynomial's components off dual
-rows (row k is x^k in the basis), and ``combine`` sums them against the
-basis. The basis and the dual rows grow in place under the map's lock with
-deterministic entries, so concurrent reads see values identical to a
-single-threaded run; a cached basis element is read without the lock.
+Maps are ``qnum.Record`` values that compare by identity: assigning or
+deleting any attribute raises AttributeError, and the memo key is not a
+constructor parameter. A map owns the change of coordinates to its adapted
+basis, which its spectral diagonals ask for: ``components`` reads a
+polynomial's components off dual rows (row k is x^k in the basis), and
+``combine`` sums them against the basis. The basis and the dual rows grow
+in place under the map's lock with deterministic entries, so concurrent
+reads see values identical to a single-threaded run; a cached basis
+element is read without the lock.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import KW_ONLY, dataclass, field, replace
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import (
     MapConstructionError,
@@ -86,7 +86,7 @@ from .opcore import (
     working_degree,
 )
 from .poly import MONOMIAL, Poly
-from .qnum import QContext, rational
+from .qnum import QContext, Record, rational
 
 CHECK_DEGREE = 16
 
@@ -143,8 +143,7 @@ def u_expr(ctx: QContext) -> OpExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DeformMap:
+class DeformMap(Record):
     """A named substitution on the generator pair.
 
     ``relation_q`` is the weight in the defining relation of the image
@@ -152,30 +151,27 @@ class DeformMap:
     is derived at construction, never passed: it records that the image
     pair reproduces the degree operator exactly on monomials (true for the
     identity and the whole f(B)-family), which is what allows diagonal
-    nodes to pass through substitution unchanged.
+    nodes to pass through substitution unchanged. Maps compare by identity.
     """
 
-    kind: str
-    label: str
-    image_a: OpExpr
-    image_b: OpExpr
-    _: KW_ONLY
-    q: Optional[Fraction] = None
-    delta: Optional[Fraction] = None
-    relation_q: Fraction = Fraction(1)
-    outer: Optional[DeformMap] = None
-    inner: Optional[DeformMap] = None
-    # set by _validate from the certified basis, never by a caller
-    preserves_degree: bool = field(default=False, init=False)
-    # set by _shared on the one instance of a named map, never by a caller
-    _key: Optional[tuple] = field(default=None, init=False)
-    _basis: list = field(default_factory=lambda: [Poly.one()], init=False)
-    # x^k in the adapted basis, for the spectral diagonals this map owns
-    _dual_rows: list = field(default_factory=list, init=False)
-    _basis_lock: threading.Lock = field(default_factory=threading.Lock, init=False)
+    # Never set by a caller: preserves_degree (by _validate, from the certified
+    # basis), _key (by _shared, on the one instance of a named map), and |n>
+    # and x^k in the adapted basis (_basis, _dual_rows, grown under _basis_lock).
+    __slots__ = ("kind", "label", "image_a", "image_b", "q", "delta", "relation_q", "outer",
+                 "inner", "preserves_degree", "_key", "_basis", "_dual_rows", "_basis_lock")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relation_q", rational(self.relation_q))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, kind: str, label: str, image_a: OpExpr, image_b: OpExpr, *,
+        q: Fraction | None = None, delta: Fraction | None = None, relation_q=1,
+        outer: DeformMap | None = None, inner: DeformMap | None = None,
+    ):
+        super().__init__(
+            kind, label, image_a, image_b, q, delta, rational(relation_q), outer, inner,
+            False, None, [Poly.one()], [], threading.Lock(),
+        )
         self._validate(CHECK_DEGREE)
 
     @property
@@ -300,7 +296,7 @@ class DeformMap:
             raise UnsupportedCompositionError(
                 "%s: cannot carry %s through a non-CCR map" % (self.label, e.name)
             )
-        return replace(e, name="%s@%s" % (e.name, owner.label), owner=owner)
+        return e.replace(name="%s@%s" % (e.name, owner.label), owner=owner)
 
     def to_json(self) -> dict:
         if self.kind == "compose":
@@ -328,7 +324,7 @@ _memo: "OrderedDict[tuple, DeformMap]" = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def _shared(key: Optional[tuple], build: Callable[[], DeformMap]) -> DeformMap:
+def _shared(key: tuple | None, build: Callable[[], DeformMap]) -> DeformMap:
     """The one map for key, made by build() and validated on first use; a
     hit does no work beyond the lookup, and key None always builds afresh.
     The build runs outside the lock (it may build other shared maps) and
@@ -370,7 +366,7 @@ def fb_map(
     name: str,
     f: Callable[[int], Fraction],
     *,
-    q: Optional[Fraction] = None,
+    q: Fraction | None = None,
 ) -> DeformMap:
     """The general family a -> f(B)^(-1) a, b -> b f(B), for f nonzero on
     positive integers. The degree operator is preserved exactly, so these

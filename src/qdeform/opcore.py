@@ -31,17 +31,18 @@ evaluated there, the series runs instead, and raises where it always has.
 
 A diagonal in a map's adapted basis leaves the change of coordinates to
 that map, its owner: it asks the owner for the components of its input,
-weights them, and has the owner recombine them. Expressions and
-realizations are immutable; concurrent use is safe.
+weights them, and has the owner recombine them. Every node kind and
+``LinOp`` is a ``qnum.Record``: assigning or deleting a field raises
+AttributeError, equal fields compare and hash equal, and a node's repr is
+its canonical text. Concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from typing import Callable
 
 from .errors import (
     DegreeOverflowError,
@@ -53,14 +54,14 @@ from .errors import (
     UnsupportedStarError,
 )
 from .poly import MONOMIAL, Poly
-from .qnum import QContext, rational
+from .qnum import QContext, Record, rational
 
 # How tightly a node's text binds, loosest first: "^" binds tighter than
 # "*", which binds tighter than "+"/"-" (a leading minus binds loosest).
 _SUM, _PROD, _POW, _ATOM = 0, 1, 2, 3
 
 
-class Op:
+class Op(Record):
     """Base of the node kinds, with arithmetic sugar. Each kind defines
     act(p, D), the exact image of p on the degree-<=D space; bounds, (net,
     peak) as an upper bound on the total degree shift and the largest
@@ -77,6 +78,9 @@ class Op:
     def text_at(self, level: int) -> str:
         """text, parenthesized when it binds looser than level."""
         return "(%s)" % self.text if self.binding < level else self.text
+
+    def __repr__(self):
+        return "<%s %s>" % (type(self).__name__, self.text)
 
     def __add__(self, other):
         return op_sum(self, as_op(other))
@@ -109,10 +113,10 @@ class Op:
         return IntPow(self, n)
 
 
-@dataclass(frozen=True, slots=True)
 class Coord(Op):
     """Multiplication by the coordinate: p(x) -> x p(x)."""
 
+    __slots__ = ()
     bounds = (1, 1)
     text = "x"
 
@@ -122,10 +126,10 @@ class Coord(Op):
         return p._times_x()
 
 
-@dataclass(frozen=True, slots=True)
 class Deriv(Op):
     """Differentiation: p(x) -> p'(x)."""
 
+    __slots__ = ()
     bounds = (-1, 0)
     text = "d"
 
@@ -133,10 +137,10 @@ class Deriv(Op):
         return p.derivative()
 
 
-@dataclass(frozen=True, slots=True)
 class Ident(Op):
     """The identity operator."""
 
+    __slots__ = ()
     bounds = (0, 0)
     text = "1"
 
@@ -144,10 +148,8 @@ class Ident(Op):
         return p
 
 
-@dataclass(frozen=True, slots=True)
 class Scaled(Op):
-    c: Fraction
-    op: "OpExpr"
+    __slots__ = ("c", "op")
 
     children = property(lambda self: (self.op,))
     bounds = property(lambda self: self.op.bounds)
@@ -173,9 +175,8 @@ class Scaled(Op):
         return "%s*%s" % (self.c, self.op.text_at(_POW))
 
 
-@dataclass(frozen=True, slots=True)
 class OpSum(Op):
-    terms: tuple
+    __slots__ = ("terms",)
 
     binding = _SUM
     children = property(lambda self: self.terms)
@@ -201,11 +202,10 @@ class OpSum(Op):
         return "".join(texts[:1] + [t if t.startswith("-") else "+" + t for t in texts[1:]])
 
 
-@dataclass(frozen=True, slots=True)
 class OpProd(Op):
     """Ordered product; the leftmost factor acts last."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
     binding = _PROD
     children = property(lambda self: self.factors)
@@ -232,17 +232,16 @@ class OpProd(Op):
         return "*".join(f.text_at(_PROD) for f in self.factors)
 
 
-@dataclass(frozen=True, slots=True)
 class IntPow(Op):
-    base: "OpExpr"
-    n: int
+    __slots__ = ("base", "n")
 
     binding = _POW
     children = property(lambda self: (self.base,))
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, base: OpExpr, n: int):
+        if n < 0:
             raise ValueError("operator powers take natural exponents")
+        super().__init__(base, n)
 
     def rebuild(self, children):
         return IntPow(*children, self.n)
@@ -266,7 +265,6 @@ class IntPow(Op):
         return "%s^%d" % (self.base.text_at(_POW), self.n)
 
 
-@dataclass(frozen=True, slots=True)
 class DiagFn(Op):
     """g of a degree operator: the n-th basis element is scaled by fn(n),
     or divided by it when inverse; fn must be total on the occupied
@@ -274,12 +272,12 @@ class DiagFn(Op):
     owner is the DeformMap whose adapted basis |n> the node is diagonal
     in, which changes coordinates to that basis and back."""
 
-    name: str
-    fn: Callable[[int], Fraction]
-    inverse: bool = False
-    owner: object = None
+    __slots__ = ("name", "fn", "inverse", "owner")
 
     bounds = (0, 0)
+
+    def __init__(self, name: str, fn: Callable[[int], Fraction], inverse=False, owner=None):
+        super().__init__(name, fn, inverse, owner)
 
     def act(self, p: Poly, D: int) -> Poly:
         g = partial(_divisor, self) if self.inverse else self.fn
@@ -296,10 +294,9 @@ def DiagInv(d: OpExpr) -> DiagFn:
     """Inverse of a diagonal node; singular if a zero eigenvalue is occupied."""
     if not isinstance(d, DiagFn) or d.inverse:
         raise ValueError("DiagInv requires a diagonal operand")
-    return replace(d, inverse=True)
+    return d.replace(inverse=True)
 
 
-@dataclass(frozen=True, slots=True)
 class ExpOp(Op):
     """Operator exponential. exp(h G d), G a monomial-basis diagonal with
     eigenvalues g (g = 1 for exp(h d)), is the Taylor shift p(x) -> p(x + h)
@@ -307,7 +304,7 @@ class ExpOp(Op):
     argument, or an inverted G with g(k) = 0 below the input's degree, is
     evaluated as a terminating power series."""
 
-    arg: "OpExpr"
+    __slots__ = ("arg",)
 
     children = property(lambda self: (self.arg,))
 
@@ -468,25 +465,22 @@ def working_degree(D: int, *exprs) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class LinOp:
+class LinOp(Record):
     """Realization of an operator on the degree-<=D space: column n is the
-    image of x^n, or None where the image overflowed the truncation.
-    Immutable."""
+    image of x^n, or None where the image overflowed the truncation."""
 
-    D: int
-    columns: tuple
+    __slots__ = ("D", "columns")
 
-    def __post_init__(self):
-        columns = tuple(self.columns)
-        if len(columns) != self.D + 1:
-            raise ValueError("expected %d columns, got %d" % (self.D + 1, len(columns)))
+    def __init__(self, D: int, columns):
+        columns = tuple(columns)
+        if len(columns) != D + 1:
+            raise ValueError("expected %d columns, got %d" % (D + 1, len(columns)))
         for col in columns:
             if col is None:
                 continue
-            if col.basis != MONOMIAL or col.degree > self.D:
-                raise ValueError("column outside the degree-%d monomial space" % self.D)
-        object.__setattr__(self, "columns", columns)
+            if col.basis != MONOMIAL or col.degree > D:
+                raise ValueError("column outside the degree-%d monomial space" % D)
+        super().__init__(D, columns)
 
     @classmethod
     def identity(cls, D: int) -> "LinOp":

@@ -23,32 +23,32 @@ stores its step delta inside the tag, so mixing two deltas is an error
 rather than silent corruption. Conversions between the bases go through
 Stirling numbers and are mutually inverse, triangular with unit diagonal.
 
-Polynomials are immutable; all operations are pure.
+No operation changes a polynomial after construction, and all operations
+are pure; the basis tags are immutable ``Record`` values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BasisMismatchError, UnsupportedBasisOperationError
-from .qnum import rational, stirling_first, stirling_second
+from .qnum import Record, rational, stirling_first, stirling_second
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Basis tag: coefficient n multiplies x^n."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FallingFactorial:
+
+class FallingFactorial(Record):
     """Basis tag: coefficient n multiplies [x]_n = x(x-d)(x-2d)...(x-(n-1)d)."""
 
-    delta: Fraction
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", rational(self.delta))
+    def __init__(self, delta):
+        super().__init__(rational(delta))
 
 
 MONOMIAL = Monomial()

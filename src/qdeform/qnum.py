@@ -10,7 +10,8 @@ combinatorial quantities:
     u(n)  = {n}!/n!                  diagonal of the similarity transform
 
 Contexts are immutable after construction and every function is pure, so
-values can be shared freely across threads.
+values can be shared freely across threads. ``Record`` is the base of the
+package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,48 @@ def rational(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % value) from None
     raise TypeError("expected an exact rational, got %r" % (value,))
+
+
+class Record:
+    """Immutable value whose fields are its ``__slots__``, given in order to
+    the constructor; a subclass with defaults or checks has its own
+    ``__init__``, which passes the final values on. Records of one class
+    compare and hash field by field, and ``replace`` runs the checks again."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError("%s takes %d fields" % (type(self).__name__, len(names)))
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(*[changes.pop(n, getattr(self, n)) for n in self.__slots__], **changes)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable: cannot change %s" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (n, getattr(self, n)) for n in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
 
 
 class QContext:

@@ -9,7 +9,6 @@ never drift apart.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hahn import HahnParams, isospectral_check
@@ -48,16 +47,16 @@ from .opcore import (
     realize_exact,
 )
 from .poly import Poly
-from .qnum import QContext
+from .qnum import QContext, Record
 
 _SEED = 1729
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        super().__init__(name, ok, detail)
 
 
 def random_poly(rng: random.Random, max_degree: int) -> Poly:

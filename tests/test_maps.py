@@ -693,7 +693,14 @@ class TestSharedMaps:
             del m.image_b
         with pytest.raises(AttributeError):
             m.extra = 1
+        with pytest.raises(AttributeError):
+            del m._key
         assert m.q == Fraction(1, 2) and m.label == "phi_q[1/2]"
+
+    def test_maps_compare_by_identity(self):
+        a, b = (DeformMap("id", "id", DERIV, COORD) for _ in range(2))
+        assert a == a and a != b and hash(a) != hash(b)
+        assert len({a, b, a}) == 2
 
     def test_named_constructors_share_one_instance(self):
         half = Fraction(1, 2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import Q_GRID, monomial_polys, small_rationals
 from qdeform import opcore
 from qdeform.cli import main
-from qdeform.dsl import parse
+from qdeform.dsl import Token, parse
 from qdeform.errors import (
     DegreeOverflowError,
     EmptyWindowError,
@@ -16,17 +16,25 @@ from qdeform.errors import (
     SingularOperatorError,
     UnsupportedStarError,
 )
+from qdeform.hahn import HahnParams
+from qdeform.maps import identity_map
 from qdeform.opcore import (
     A_DIAG,
     B_DIAG,
     COORD,
+    Coord,
     DERIV,
+    Deriv,
     DiagFn,
     DiagInv,
     ExpOp,
     IDENT,
+    Ident,
     IntPow,
     LinOp,
+    OpProd,
+    OpSum,
+    Scaled,
     acts_equally,
     apply,
     commutator,
@@ -42,8 +50,9 @@ from qdeform.opcore import (
     star,
     working_degree,
 )
-from qdeform.poly import Poly
+from qdeform.poly import FallingFactorial, Monomial, Poly
 from qdeform.qnum import QContext
+from qdeform.verify import Check
 
 
 def ctx_for(q):
@@ -360,6 +369,64 @@ class TestRealize:
         assert data["columns"][0] == {"basis": "monomial", "coeffs": ["0", "1"]}
 
 
+# Each immutable value class but LinOp and DeformMap (see their own
+# read-only tests): constructor arguments, and a field change that gives an
+# unequal value.
+VALUES = [
+    (Monomial, (), {}),
+    (FallingFactorial, (Fraction(1, 2),), {"delta": 2}),
+    (Coord, (), {}),
+    (Deriv, (), {}),
+    (Ident, (), {}),
+    (Scaled, (Fraction(2), COORD), {"c": Fraction(3)}),
+    (OpSum, ((COORD, DERIV),), {"terms": (DERIV, COORD)}),
+    (OpProd, ((COORD, DERIV),), {"factors": (DERIV, COORD)}),
+    (IntPow, (COORD, 2), {"n": 3}),
+    (DiagFn, ("g", Fraction, True, identity_map()), {"owner": None}),
+    (ExpOp, (DERIV,), {"arg": COORD}),
+    (HahnParams, (0, 0, 5), {"c1": 2}),
+    (Token, ("name", "x", 1, 1), {"col": 2}),
+    (Check, ("c", True), {"ok": False}),
+]
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("kind, args, change", VALUES, ids=[v[0].__name__ for v in VALUES])
+    def test_frozen_and_compared_by_fields(self, kind, args, change):
+        a, b = kind(*args), kind(*args)
+        assert a is not b and a == b and hash(a) == hash(b)
+        for name in kind.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b and a.replace() == a
+        if change:
+            assert a.replace(**change) != a
+
+    def test_constructors_still_check_their_fields(self):
+        with pytest.raises(ValueError, match="natural exponents"):
+            IntPow(COORD, -1)
+        with pytest.raises(ValueError, match="natural exponents"):
+            IntPow(COORD, 2).replace(n=-1)
+        with pytest.raises(ValueError, match="delta must be nonzero"):
+            HahnParams(0, 0, 5, delta=0)
+        with pytest.raises(TypeError):
+            COORD.replace(extra=1)
+        assert FallingFactorial("1/2") == FallingFactorial(Fraction(1, 2))
+        assert HahnParams("1/2", 0, 5).alpha == Fraction(1, 2)
+
+    def test_diaginv_keeps_the_owner(self):
+        m = identity_map()
+        inv = DiagInv(DiagFn("g", lambda n: Fraction(n + 1), owner=m))
+        assert inv.inverse and inv.owner is m and inv.name == "g"
+
+    def test_repr(self):
+        assert repr(op_prod(COORD, DERIV)) == "<OpProd x*d>"
+        assert repr(FallingFactorial(2)) == "FallingFactorial(delta=Fraction(2, 1))"
+        assert repr(Monomial()) == "Monomial()"
+
+
 class TestLinOp:
     def test_identity(self):
         assert LinOp.identity(4).is_identity()
@@ -498,7 +565,8 @@ class TestStar:
         assert star(ExpOp(scaled(-2, DERIV))) == ExpOp(scaled(-2, COORD))
 
     def test_diag_unsupported(self):
-        with pytest.raises(UnsupportedStarError):
+        # the message shows the node's canonical text, never a memory address
+        with pytest.raises(UnsupportedStarError, match=r"^star is undefined on <DiagFn A>$"):
             star(A_DIAG)
 
 
@@ -684,7 +752,11 @@ class TestRealizationMemo:
             lin.columns = ()
         with pytest.raises(AttributeError):
             del lin.columns
-        assert realize_exact(op_prod(DERIV, COORD), 4).D == 4
+        again = realize_exact(op_prod(DERIV, COORD), 4)
+        assert again.D == 4 and again is not lin
+        assert again == lin and hash(again) == hash(lin)
+        with pytest.raises(ValueError, match="expected 5 columns, got 4"):
+            LinOp(4, lin.columns[:4])
 
     def test_maps_with_different_f_never_share(self, fresh_memo):
         square = fresh_memo.fb_map("f", lambda n: Fraction(n * n))

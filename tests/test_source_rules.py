@@ -1,6 +1,9 @@
-"""Rules the library source keeps, checked on its syntax tree."""
+"""Rules the library source keeps, checked on its syntax tree (and, for
+the modules the CLI loads, in a fresh interpreter)."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,31 @@ def test_no_private_imports_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == [], "%s imports private names %s" % (path.name, private)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_or_typing_imports(path):
+    # both cost start-up time on every CLI call (dataclasses pulls in
+    # inspect, ast, dis and tokenize); values subclass qnum.Record instead,
+    # and annotations stay strings under `from __future__ import annotations`
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        )
+        if name.split(".")[0] in ("dataclasses", "typing")
+    ]
+    assert modules == [], "%s imports %s" % (path.name, modules)
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    src = str(SOURCES[0].parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, %r); import qdeform.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))" % src
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
