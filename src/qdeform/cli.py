@@ -94,7 +94,7 @@ def _emit(fmt: str, data, text, csv=None):
 
 def _csv(p: Poly, sep: str = " ") -> str:
     """p's coefficients joined by sep for csv; the zero polynomial is 0."""
-    return sep.join(map(str, p.coeffs)) or "0"
+    return sep.join(p.coefficient_texts()) or "0"
 
 
 def _emit_poly(p: Poly, fmt: str):

@@ -306,7 +306,7 @@ def table_rows(
                 "params": _param_tag(params),
                 "k": k,
                 "eigenvalue": str(lam),
-                "coefficients": [str(c) for c in h.coeffs],
+                "coefficients": h.coefficient_texts(),
                 "residual": _residual(op, h, lam).to_text(),
             }
         )

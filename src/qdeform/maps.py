@@ -268,9 +268,9 @@ class DeformMap(Record):
     def combine(self, c: Poly) -> Poly:
         """sum_n c_n |n>: the monomial-basis polynomial whose components
         along the adapted basis are the coefficients of c."""
-        return Poly._lincomb(
-            ((a, self.basis_element(n)) for n, a in enumerate(c._num) if a), c._den
-        )
+        if c._num:
+            self.basis_element(c.degree)  # checked, and |0..deg c> built
+        return Poly._lincomb(zip(c._num, self._basis), c._den)
 
     # -- generator substitution ------------------------------------------
 
@@ -538,7 +538,7 @@ def quantum_average(p: Poly, ctx: QContext) -> Poly:
     """x^n -> x^n/{n+1}; equals (1/x) S and inverts B."""
     if p.basis != MONOMIAL:
         raise UnsupportedBasisOperationError("quantum average needs monomial basis")
-    return p._diag(lambda n: ctx.qnumber(n + 1), invert=True)
+    return p._diag(ctx.qnumber_pairs(p.degree + 1)[1:], invert=True)
 
 
 def rolle_check(f: Poly, ctx: QContext, D: int) -> bool:

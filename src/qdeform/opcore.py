@@ -8,7 +8,11 @@ diagonal node kind, a function g of the degree operator that scales the
 n-th basis element by g(n), or divides by it when inverted. On monomials
 it houses A = x d/dx, B = 1+A, {A}, [[B]], q^A and the similarity
 diagonal; in a map's adapted basis it is g of the deformed degree
-operator, which is how such functions are evaluated spectrally.
+operator, which is how such functions are evaluated spectrally. The
+standard diagonals read g from a ``Table`` of (num, den) int pairs (a
+QContext's tables, or the degrees themselves); any other callable is
+adapted at its node. Either way g is evaluated at the occupied degrees of
+the input only.
 
 Each node kind owns its action, degree bounds, children and canonical text
 (see ``Op``); ``apply``, the bounds, ``substitute`` and ``dsl.pretty`` walk
@@ -42,7 +46,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
 
 from .errors import (
     DegreeOverflowError,
@@ -268,9 +271,11 @@ class IntPow(Op):
 class DiagFn(Op):
     """g of a degree operator: the n-th basis element is scaled by fn(n),
     or divided by it when inverse; fn must be total on the occupied
-    degrees. owner None means the monomials, x^n -> fn(n) x^n; otherwise
-    owner is the DeformMap whose adapted basis |n> the node is diagonal
-    in, which changes coordinates to that basis and back."""
+    degrees, where alone it is evaluated. fn is a callable returning an int
+    or Fraction, or a ``Table`` of int pairs. owner None means the
+    monomials, x^n -> fn(n) x^n; otherwise owner is the DeformMap whose
+    adapted basis |n> the node is diagonal in, which changes coordinates to
+    that basis and back."""
 
     __slots__ = ("name", "fn", "inverse", "owner")
 
@@ -280,14 +285,71 @@ class DiagFn(Op):
         super().__init__(name, fn, inverse, owner)
 
     def act(self, p: Poly, D: int) -> Poly:
-        g = partial(_divisor, self) if self.inverse else self.fn
-        if self.owner is None:
-            return p._diag(g, self.inverse)
-        return self.owner.combine(self.owner.components(p)._diag(g, self.inverse))
+        owner = self.owner
+        c = p if owner is None else owner.components(p)
+        vals = self.eigenpairs(c._num)
+        try:
+            c = c._diag(vals, self.inverse)
+        except ZeroDivisionError as exc:
+            self._singular(exc.args[0])
+        return c if owner is None else owner.combine(c)
+
+    def eigenpairs(self, num):
+        """(num, den), den > 0, of fn(n) for each degree n < len(num); only
+        the entries at nonzero num[n] are evaluated, from the lowest up, and
+        the others are placeholders. A callable's inverse raises
+        SingularOperatorError at the first such entry that is 0."""
+        fn = self.fn
+        if isinstance(fn, Table):
+            return fn.pairs_at(num)
+        vals = []
+        for n, c in enumerate(num):
+            if not c:
+                vals.append((0, 1))
+                continue
+            g = fn(n)
+            if self.inverse and g == 0:
+                self._singular(n)
+            vals.append((g.numerator, g.denominator))
+        return vals
+
+    def _singular(self, n: int):
+        raise SingularOperatorError(
+            "inv(%s) hit eigenvalue 0 at occupied degree %d" % (self.name, n)
+        )
 
     @property
     def text(self):
         return "inv(%s)" % self.name if self.inverse else self.name
+
+
+class Table(Record):
+    """The eigenvalues of a standard diagonal, g(n) = entry n + shift of a
+    pair table: pairs(m) is a sequence of (num, den) pairs in lowest terms,
+    den > 0, for the indexes 0..m at least (a QContext table, or the
+    degrees themselves). Below index 0, g is the pair below, or undefined
+    when below is None. Called with n it gives g(n) as a Fraction."""
+
+    __slots__ = ("pairs", "shift", "below")
+
+    def __init__(self, pairs: Callable[[int], tuple], shift: int = 0, below=None):
+        super().__init__(pairs, shift, below)
+
+    def __call__(self, n: int) -> Fraction:
+        num, den = self.pairs_at([0] * n + [1])[n]
+        return Fraction(num, den)
+
+    def pairs_at(self, num):
+        """The pairs of g(n) for n < len(num), read without a per-entry call;
+        an undefined entry raises ValueError where num[n] is nonzero and is
+        a placeholder elsewhere."""
+        s, size = self.shift, len(num)
+        if s >= 0:
+            return self.pairs(size - 1 + s)[s : s + size]
+        low = min(-s, size)  # the degrees below index 0
+        if self.below is None and any(num[:low]):
+            raise ValueError("index %d is negative" % (next(n for n in range(low) if num[n]) + s))
+        return [self.below or (0, 1)] * low + list(self.pairs(size - 1 + s)[: size - low])
 
 
 def DiagInv(d: OpExpr) -> DiagFn:
@@ -413,8 +475,9 @@ def _require_natural(D: int):
 
 def _shift_steps(arg, N):
     """The steps h g(k), k < N, of exp(arg) as the conjugated Taylor shift
-    (see ExpOp); scalar factors may stand anywhere before d. None when arg
-    is not h G d or h d, or when g cannot be evaluated or inverted below N."""
+    (see ExpOp), each a (num, den) pair in lowest terms with den > 0;
+    scalar factors may stand anywhere before d. None when arg is not h G d
+    or h d, or when g cannot be evaluated or inverted below N."""
     h = Fraction(1)
     if isinstance(arg, Scaled):
         h, arg = arg.c, arg.op
@@ -429,24 +492,23 @@ def _shift_steps(arg, N):
             g = f
         else:
             return None
+    c, e = h.numerator, h.denominator
     if g is None:
-        return [h] * N
+        return [(c, e)] * N
     try:
-        if g.inverse:
-            return [h / _divisor(g, k) for k in range(N)]
-        return [h * g.fn(k) for k in range(N)]
+        vals = g.eigenpairs([1] * N)  # every degree below N takes a step
     except (MathError, ArithmeticError, ValueError):
         return None
-
-
-def _divisor(diag, n: int) -> Fraction:
-    """Eigenvalue of diag at an occupied degree n that an inverse divides by."""
-    g = diag.fn(n)
-    if g == 0:
-        raise SingularOperatorError(
-            "inv(%s) hit eigenvalue 0 at occupied degree %d" % (diag.name, n)
-        )
-    return g
+    steps = []
+    for a, b in vals:
+        if g.inverse:
+            if not a:
+                return None
+            a, b = (b, a) if a > 0 else (-b, -a)
+        # h (a/b), cross-reduced as Fraction multiplies
+        g1, g2 = math.gcd(c, b), math.gcd(a, e)
+        steps.append(((c // g1) * (a // g2), (e // g2) * (b // g1)))
+    return steps
 
 
 def working_degree(D: int, *exprs) -> int:
@@ -500,30 +562,24 @@ class LinOp(Record):
 
     @property
     def band(self):
-        lo = hi = None
-        for n, col in enumerate(self.columns):
-            if col is None:
-                continue
-            for i, c in enumerate(col.coeffs):
-                if c == 0:
-                    continue
-                s = i - n
-                lo = s if lo is None else min(lo, s)
-                hi = s if hi is None else max(hi, s)
-        if lo is None:
+        offsets = [
+            (next(i for i, c in enumerate(col._num) if c) - n, col.degree - n)
+            for n, col in enumerate(self.columns)
+            if col is not None and col._num
+        ]
+        if not offsets:
             return (0, 0)
-        return (lo, hi)
+        return min(lo for lo, _ in offsets), max(hi for _, hi in offsets)
 
     def apply_poly(self, p: Poly) -> Poly:
         if p.basis != MONOMIAL:
             raise UnsupportedBasisOperationError("LinOp acts on monomial polynomials")
         if p.degree > self.D:
             raise ValueError("degree exceeds realization size")
-        coeffs = p.coeffs
-        for n, c in enumerate(coeffs):
+        for n, c in enumerate(p._num):
             if c and self.columns[n] is None:
                 raise DegreeOverflowError("column %d is overflow-marked" % n)
-        return Poly._lincomb(zip(coeffs, self.columns))
+        return Poly._lincomb(zip(p._num, self.columns), p._den)
 
     def compose(self, other: "LinOp") -> "LinOp":
         """self after other; overflow marks propagate."""
@@ -673,11 +729,16 @@ def star(e: OpExpr) -> OpExpr:
 # Standard diagonal nodes
 # ---------------------------------------------------------------------------
 
+def _degrees(m: int) -> list:
+    """The pairs of 0..m."""
+    return [(k, 1) for k in range(m + 1)]
+
+
 #: A = x d/dx: x^n -> n x^n.
-A_DIAG = DiagFn("A", lambda n: Fraction(n))
+A_DIAG = DiagFn("A", Table(_degrees))
 
 #: B = 1 + A: x^n -> (n+1) x^n.
-B_DIAG = DiagFn("B", lambda n: Fraction(n + 1))
+B_DIAG = DiagFn("B", Table(_degrees, 1))
 
 
 def _shift_name(base: str, shift: int) -> str:
@@ -690,29 +751,21 @@ def _shift_name(base: str, shift: int) -> str:
 
 def qnum_diag(ctx: QContext, shift: int = 0) -> DiagFn:
     """{A + shift}: x^n -> {n + shift} x^n."""
-    return DiagFn(_shift_name("qn", shift), lambda n: ctx.qnumber(n + shift))
+    return DiagFn(_shift_name("qn", shift), Table(ctx.qnumber_pairs, shift))
 
 
 def dbracket_diag(ctx: QContext, shift: int = 0) -> DiagFn:
     """[[A + shift]]: x^n -> [[n + shift]] x^n."""
-    return DiagFn(_shift_name("qb", shift), lambda n: ctx.dbracket(n + shift))
+    return DiagFn(_shift_name("qb", shift), Table(ctx.dbracket_pairs, shift))
 
 
 def qpow_diag(ctx: QContext) -> DiagFn:
     """q^A: x^n -> q^n x^n."""
-    return DiagFn("q^A", lambda n: ctx.q**n)
+    return DiagFn("q^A", Table(ctx.qpower_pairs))
 
 
 def gamma_ratio_diag(ctx: QContext, shift: int = 0) -> DiagFn:
     """U(A + shift) with u(n) = {n}!/n!; u is taken as 1 below index 0,
     which is never an occupied degree in its uses."""
-    if shift == 0:
-        name = "U"
-    else:
-        name = "U(A%+d)" % shift
-
-    def fn(n, _shift=shift):
-        m = n + _shift
-        return ctx.gamma_ratio(m) if m >= 0 else Fraction(1)
-
-    return DiagFn(name, fn)
+    name = "U" if shift == 0 else "U(A%+d)" % shift
+    return DiagFn(name, Table(ctx.gamma_ratio_pairs, shift, (1, 1)))

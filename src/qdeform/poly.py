@@ -12,9 +12,12 @@ numerator tuples the kernels free raised peak memory by about 1 MB on a
 
 Every kernel is an integer loop over the numerators followed by one
 reduction to canonical form, in the spirit of Bareiss's fraction-free
-elimination (Math. Comp. 22:565, 1968). ``Fraction`` appears only at the
-public boundary: the constructor, ``coeffs`` (a computed view),
-``coefficient``, ``evaluate``, text and JSON.
+elimination (Math. Comp. 22:565, 1968). A diagonal kernel takes its
+eigenvalues as (num, den) int pairs, and a conjugated shift its steps.
+``Fraction`` appears only at the public boundary: the constructor,
+``coeffs`` (a computed view), ``coefficient`` and ``evaluate``. Text and
+JSON rendering build one only for a nonzero coefficient, so a sparse
+polynomial renders at the cost of its occupied degrees.
 
 The monomial basis supports the full ring structure plus the two
 functional transforms that realize finite differences (``shift``:
@@ -130,7 +133,7 @@ class Poly:
     @classmethod
     def monomial(cls, n, coeff=1):
         """coeff * x^n."""
-        c = rational(coeff)
+        c = coeff if isinstance(coeff, int) else rational(coeff)
         if not c:
             return cls.zero()
         return cls._make([0] * n + [c.numerator], c.denominator, reduced=True)
@@ -266,11 +269,13 @@ class Poly:
     def shift(self, h) -> "Poly":
         """p(x) -> p(x + h), as an integer Taylor shift."""
         self._require_monomial("shift")
-        return self._conjugated_shift([rational(h)] * self.degree)
+        h = rational(h)
+        return self._conjugated_shift([(h.numerator, h.denominator)] * self.degree)
 
     def _conjugated_shift(self, steps) -> "Poly":
         """U^-1 exp(h d) U p for a diagonal U, given steps[k] = h u(k+1)/u(k)
-        for every k below the degree; steps all h is the Taylor shift.
+        as an int pair (a_k, b_k), b_k > 0, for every k below the degree;
+        steps all h is the Taylor shift.
 
         Horner's scheme for the shift, c[k] += h c[k+1], conjugated by U is
         c[k] += steps[k] c[k+1], so U itself is never formed. For
@@ -282,8 +287,8 @@ class Poly:
         top = len(self._num) - 1
         if top < 1:
             return self
-        a = [s.numerator for s in steps]
-        b = [s.denominator for s in steps]
+        a = [s for s, _ in steps]
+        b = [d for _, d in steps]
         e = list(self._num)
         w = 1
         for n in range(top - 1, -1, -1):
@@ -340,19 +345,28 @@ class Poly:
             return self
         return Poly._make([0] + self._num, self._den, reduced=True)
 
-    def _diag(self, fn, invert=False) -> "Poly":
-        """x^n -> fn(n) x^n, or x^n -> x^n / fn(n) when invert. fn is called
-        only at occupied degrees, from the lowest up, and returns an int or
-        Fraction (nonzero when invert)."""
-        vals = []
+    def _diag(self, vals, invert=False) -> "Poly":
+        """x^n -> (a/b) x^n, or x^n -> (b/a) x^n when invert, for the int pair
+        (a, b) = vals[n] with b > 0; the pairs at zero coefficients are not
+        read. Inverting a = 0 raises ZeroDivisionError(n) at the lowest
+        such occupied degree n."""
+        terms = []
         for n, c in enumerate(self._num):
             if not c:
-                vals.append((0, 1))
                 continue
-            g = fn(n)
-            vals.append((g.denominator, g.numerator) if invert else (g.numerator, g.denominator))
-        lcm = math.lcm(*[d for _, d in vals])
-        out = [c * v * (lcm // d) for c, (v, d) in zip(self._num, vals)]
+            a, b = vals[n]
+            if not invert:
+                terms.append((n, c * a, b))
+            elif a > 0:
+                terms.append((n, c * b, a))
+            elif a:
+                terms.append((n, -c * b, -a))
+            else:
+                raise ZeroDivisionError(n)
+        lcm = math.lcm(*[b for _, _, b in terms])
+        out = [0] * len(self._num)
+        for n, x, b in terms:
+            out[n] = x * (lcm // b)
         return Poly._make(out, self._den * lcm)
 
     # -- basis conversions ----------------------------------------------
@@ -419,35 +433,40 @@ class Poly:
         """Compact canonical text, highest degree first ("x^2-1/2*x")."""
         if self.is_zero:
             return "0"
-        coeffs = self.coeffs
+        num, den = self._num, self._den
         parts = []
-        for n in range(self.degree, -1, -1):
-            c = coeffs[n]
-            if c == 0:
+        for n in range(len(num) - 1, -1, -1):
+            a = num[n]
+            if not a:
                 continue
             if self.basis == MONOMIAL:
                 base = "x" if n == 1 else "x^%d" % n
             else:
                 base = "[x]_%d" % n
             if n == 0:
-                term = str(c)
-            elif c == 1:
+                term = str(Fraction(a, den))
+            elif a == den:
                 term = base
-            elif c == -1:
+            elif a == -den:
                 term = "-" + base
             else:
-                term = "%s*%s" % (c, base)
+                term = "%s*%s" % (Fraction(a, den), base)
             if parts and not term.startswith("-"):
                 parts.append("+")
             parts.append(term)
         return "".join(parts)
+
+    def coefficient_texts(self) -> list:
+        """Each coefficient in the "p/q" wire format, "0" for a zero one."""
+        den = self._den
+        return [str(Fraction(a, den)) if a else "0" for a in self._num]
 
     def to_json(self) -> dict:
         if self.basis == MONOMIAL:
             basis = "monomial"
         else:
             basis = {"falling": {"delta": str(self.basis.delta)}}
-        return {"basis": basis, "coeffs": [str(c) for c in self.coeffs]}
+        return {"basis": basis, "coeffs": self.coefficient_texts()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Poly":

@@ -1,17 +1,20 @@
 """Exact q-arithmetic: q-numbers, double brackets, factorials, Stirling numbers.
 
-All scalars are ``fractions.Fraction``; nothing here ever rounds. A
-``QContext`` fixes the deformation parameter q and memoizes the derived
-combinatorial quantities:
+Nothing here ever rounds. A ``QContext`` fixes the deformation parameter q
+and memoizes the derived combinatorial quantities:
 
     {n}   = (1 - q^n)/(1 - q)        q-number of n, {0} = 0
     [[n]] = n/{n}                    double bracket, [[0]] = 1
+    q^n                              powers of q
     {n}!, [[n]]!                     the associated factorials
     u(n)  = {n}!/n!                  diagonal of the similarity transform
 
-Contexts are immutable after construction and every function is pure, so
-values can be shared freely across threads. ``Record`` is the base of the
-package's immutable value classes.
+It keeps them as tables of (num, den) int pairs in lowest terms, which the
+operator kernels read without building a ``Fraction`` per value; the
+public accessors (``qnumber``, ``dbracket``, ...) return the same values as
+``fractions.Fraction``. The tables only grow, by rebinding new tuples, and
+every function is pure, so values can be shared freely across threads.
+``Record`` is the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -51,13 +54,20 @@ class Record:
     compare and hash field by field, and ``replace`` runs the checks again."""
 
     __slots__ = ()
+    _setters = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, bound once: __setattr__ refuses every
+        # assignment, so the constructor stores through the descriptors
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values):
-        names = self.__slots__
-        if len(values) != len(names):
-            raise TypeError("%s takes %d fields" % (type(self).__name__, len(names)))
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError("%s takes %d fields" % (type(self).__name__, len(setters)))
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -94,13 +104,21 @@ class QContext:
     but trigger a warning, since the usual convergence picture for the
     Jackson integral no longer applies there.
 
+    Each table is a tuple of (num, den) int pairs in lowest terms with
+    den > 0, entry n for index n; the kernels read them directly. With
+    q = a/b and P_1 = 1, P_(n+1) = b^n + a P_n, the q-number is
+    {n} = P_n / b^(n-1), already in lowest terms since P_n = a^(n-1) mod b,
+    and [[n]] = n b^(n-1) / P_n once gcd(n, P_n) is divided out. The
+    Fraction accessors read a tuple of Fractions made from the pairs, so a
+    repeated lookup returns the stored value.
+
     The tables grow on demand to the largest index asked for. Growth builds
     new tuples and rebinds them, so a reader always holds a complete table
     and concurrent use needs no lock; racing growers compute identical
     values.
     """
 
-    __slots__ = ("q", "_qnum", "_dbr", "_fact")
+    __slots__ = ("q", "_qnum", "_dbr", "_qpow", "_fact", "_views")
 
     def __init__(self, q):
         q = rational(q)
@@ -115,68 +133,112 @@ class QContext:
                 stacklevel=2,
             )
         self.q = q
-        self._qnum = (Fraction(0),)
-        self._dbr = (Fraction(1),)
-        # ({n}!, [[n]]!) rebound as one pair so the two always agree in length
-        self._fact = ((Fraction(1),), (Fraction(1),))
+        self._qnum = ((0, 1), (1, 1))
+        self._dbr = ((1, 1),)
+        self._qpow = ((1, 1),)
+        # ({n}!, [[n]]!, u(n)) rebound as one triple so the three always agree in length
+        self._fact = (((1, 1),), ((1, 1),), ((1, 1),))
+        self._views = {}
 
-    def _qnums(self, n: int) -> tuple:
-        """The table {0}..{n} (at least), grown if needed."""
-        if n < 0:
-            raise ValueError("index %d is negative" % n)
+    def qnumber_pairs(self, n: int) -> tuple:
+        """The pairs of {0}..{n} (at least), grown if needed."""
         t = self._qnum
         if len(t) <= n:
+            a, b = self.q.numerator, self.q.denominator
             grown = list(t)
+            p, d = grown[-1]
             while len(grown) <= n:
-                grown.append(1 + self.q * grown[-1])  # {n+1} = 1 + q{n}
+                # {k+1} = 1 + q{k}: P_(k+1) = b^k + a P_k over b^k
+                p, d = b * d + a * p, b * d
+                grown.append((p, d))
             t = self._qnum = tuple(grown)
         return t
 
-    def _dbrackets(self, n: int) -> tuple:
-        """The table [[0]]..[[n]] (at least), grown if needed."""
-        if n < 0:
-            raise ValueError("index %d is negative" % n)
+    def dbracket_pairs(self, n: int) -> tuple:
+        """The pairs of [[0]]..[[n]] (at least), grown if needed."""
         t = self._dbr
         if len(t) <= n:
-            qnum = self._qnums(n)
+            qnum = self.qnumber_pairs(n)
             grown = list(t)
             for k in range(len(grown), n + 1):
-                grown.append(k / qnum[k])
+                p, d = qnum[k]
+                g = math.gcd(k, p)
+                if p < 0:
+                    g = -g
+                grown.append((k // g * d, p // g))
             t = self._dbr = tuple(grown)
         return t
 
+    def qpower_pairs(self, n: int) -> tuple:
+        """The pairs of q^0..q^n (at least), grown if needed."""
+        t = self._qpow
+        if len(t) <= n:
+            a, b = self.q.numerator, self.q.denominator
+            grown = list(t)
+            p, d = grown[-1]
+            while len(grown) <= n:
+                p, d = a * p, b * d
+                grown.append((p, d))
+            t = self._qpow = tuple(grown)
+        return t
+
     def _factorials(self, n: int) -> tuple:
-        """The tables ({k}!, [[k]]!) for k = 0..n (at least), grown if needed."""
-        qnum = self._qnums(n)
-        dbr = self._dbrackets(n)
+        """The pair tables ({k}!, [[k]]!, u(k)) for k = 0..n (at least), grown
+        if needed; u(k) = {k}!/k! is the reciprocal of [[k]]!."""
         t = self._fact
         if len(t[0]) <= n:
-            qfact, dbfact = list(t[0]), list(t[1])
+            qnum = self.qnumber_pairs(n)
+            dbr = self.dbracket_pairs(n)
+            qfact, dbfact, gamma = (list(table) for table in t)
             for k in range(len(qfact), n + 1):
-                qfact.append(qfact[-1] * qnum[k])
-                dbfact.append(dbfact[-1] * dbr[k])
-            t = self._fact = (tuple(qfact), tuple(dbfact))
+                # {k}! = P_1...P_k / b^(k(k-1)/2) stays in lowest terms
+                (p, d), (pk, dk) = qfact[-1], qnum[k]
+                qfact.append((p * pk, d * dk))
+                # [[k]]! = [[k-1]]! [[k]], cross-reduced as Fraction multiplies
+                (p, d), (pk, dk) = dbfact[-1], dbr[k]
+                g1, g2 = math.gcd(p, dk), math.gcd(pk, d)
+                p, d = (p // g1) * (pk // g2), (d // g2) * (dk // g1)
+                dbfact.append((p, d))
+                gamma.append((d, p) if p > 0 else (-d, -p))
+            t = self._fact = (tuple(qfact), tuple(dbfact), tuple(gamma))
         return t
+
+    def gamma_ratio_pairs(self, n: int) -> tuple:
+        """The pairs of u(0)..u(n) (at least), grown if needed."""
+        return self._factorials(n)[2]
+
+    def _fraction(self, name: str, pairs, n: int) -> Fraction:
+        """Entry n of the pair table pairs(n) as a Fraction, read from a
+        tuple of Fractions kept under name and grown from the pairs."""
+        if n < 0:
+            raise ValueError("index %d is negative" % n)
+        view = self._views.get(name, ())
+        if len(view) <= n:
+            table = pairs(n)
+            view = self._views[name] = view + tuple(
+                Fraction(p, d) for p, d in table[len(view) : n + 1]
+            )
+        return view[n]
 
     def qnumber(self, n: int) -> Fraction:
         """{n} = (1 - q^n)/(1 - q)."""
-        return self._qnums(n)[n]
+        return self._fraction("qnumber", self.qnumber_pairs, n)
 
     def dbracket(self, n: int) -> Fraction:
         """[[n]] = n/{n}, with [[0]] = 1."""
-        return self._dbrackets(n)[n]
+        return self._fraction("dbracket", self.dbracket_pairs, n)
 
     def qfactorial(self, n: int) -> Fraction:
         """{n}! = {1}{2}...{n}, empty product at n = 0."""
-        return self._factorials(n)[0][n]
+        return self._fraction("qfactorial", lambda m: self._factorials(m)[0], n)
 
     def dbracket_factorial(self, n: int) -> Fraction:
         """[[n]]! = [[1]][[2]]...[[n]], with [[0]]! = 1."""
-        return self._factorials(n)[1][n]
+        return self._fraction("dbracket_factorial", lambda m: self._factorials(m)[1], n)
 
     def gamma_ratio(self, n: int) -> Fraction:
         """u(n) = Gamma_q(n+1)/Gamma(n+1) = {n}!/n!."""
-        return self.qfactorial(n) / math.factorial(n)
+        return self._fraction("gamma_ratio", self.gamma_ratio_pairs, n)
 
     def __repr__(self):
         return "QContext(q=%s)" % self.q

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import qdeform.cli
 from qdeform.cli import main
 from qdeform.qnum import QContext
 
@@ -74,6 +75,20 @@ class TestExitCodes:
     def test_overflow_is_3(self, capsys):
         code, _, _ = run(capsys, "apply", "x", "poly(x^2)", "--degree", "2")
         assert code == 3
+
+
+class TestOccupiedDegrees:
+    """A diagonal is evaluated at the occupied degrees of its input only."""
+
+    def test_undefined_below_the_input_is_never_read(self, capsys):
+        # qb(A-3) is undefined at degrees 0..2, which x^5 does not occupy
+        code, out, err = run(capsys, "apply", "qb(A-3)", "x^5", "--q=1/2", "--degree", "6")
+        assert (code, out, err) == (0, "4/3*x^5\n", "")
+
+    def test_undefined_at_an_occupied_degree_is_a_math_error(self, capsys):
+        code, out, err = run(capsys, "realize", "qn(A-2)", "--q=1/2", "--degree", "3")
+        assert (code, out) == (3, "")
+        assert err == "error: qn(A-2) needs a nonnegative integer spectrum; got -2 at degree 0\n"
 
 
 class TestVerify:
@@ -595,33 +610,104 @@ class TestMapChoices:
         assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+_RENDERERS = {"text": "to_text", "json": "to_json", "csv": "_csv"}
+
+
+def _renders_of_result(capsys, monkeypatch, argv, producer, fmt):
+    """Run argv with the given format; the renderers (Poly.to_text,
+    Poly.to_json, cli._csv) called on the one result of producer, in order."""
+    from qdeform.poly import Poly
+
+    results, renders = [], []
+    make = getattr(qdeform.cli, producer)
+    monkeypatch.setattr(
+        qdeform.cli, producer, lambda *a, **k: results.append(make(*a, **k)) or results[-1]
+    )
+    for owner, name in ((Poly, "to_text"), (Poly, "to_json"), (qdeform.cli, "_csv")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda p, *a, _real=real, _name=name: renders.append((_name, p)) or _real(p, *a)
+        )
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    assert len(results) == 1
+    return [name for name, p in renders if p is results[0]]
+
+
+_RENDER_CASES = [
+    pytest.param(("apply", "exp(1/2*Dq)", "x^5", "--q", "9/10"), "apply", id="apply"),
+    pytest.param(
+        ("project", "phi_q_delta", "x^3", "--q", "1/2", "--delta", "1"),
+        "b_projection",
+        id="project",
+    ),
+]
+
+
 class TestRenderOnce:
-    """apply and project render their result in the requested format only."""
+    """apply and project render their result once, in the requested format only."""
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    @pytest.mark.parametrize(
-        "argv, producer",
-        [
-            pytest.param(("apply", "exp(1/2*Dq)", "x^5", "--q", "9/10"), "apply", id="apply"),
-            pytest.param(
-                ("project", "phi_q_delta", "x^3", "--q", "1/2", "--delta", "1"),
-                "b_projection",
-                id="project",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, producer", _RENDER_CASES)
     def test_result_coefficients_read_once(self, capsys, monkeypatch, argv, producer, fmt):
-        import qdeform.cli
+        renders = _renders_of_result(capsys, monkeypatch, argv, producer, fmt)
+        assert renders == [_RENDERERS[fmt]]
+
+    @pytest.mark.parametrize("extra", ["text", "json", "csv"])
+    @pytest.mark.parametrize("argv, producer", _RENDER_CASES)
+    def test_probe_sees_a_second_or_unrequested_rendering(
+        self, capsys, monkeypatch, argv, producer, extra
+    ):
+        # negative control: an emitter that also renders the result in some
+        # format (the requested one again, or another) fails the check above
+        emit = qdeform.cli._emit_poly
+
+        def emit_and_render(p, fmt):
+            {"text": lambda: p.to_text(), "json": p.to_json, "csv": lambda: qdeform.cli._csv(p)}[extra]()
+            emit(p, fmt)
+
+        monkeypatch.setattr(qdeform.cli, "_emit_poly", emit_and_render)
+        renders = _renders_of_result(capsys, monkeypatch, argv, producer, "text")
+        assert renders != [_RENDERERS["text"]]
+        assert sorted(renders) == sorted([_RENDERERS["text"], _RENDERERS[extra]])
+
+
+class TestRenderCost:
+    """Rendering builds a Fraction only for a nonzero coefficient."""
+
+    RENDERS = {
+        "text": lambda p: p.to_text(),
+        "json": lambda p: p.to_json(),
+        "csv": lambda p: qdeform.cli._csv(p, ","),
+    }
+
+    @staticmethod
+    def _built(monkeypatch, render, p):
+        import qdeform.poly
+
+        built, real = [], Fraction
+        monkeypatch.setattr(qdeform.poly, "Fraction", lambda *a: built.append(a) or real(*a))
+        return built, render(p)
+
+    @pytest.mark.parametrize("fmt", sorted(RENDERS))
+    def test_sparse_polynomial_builds_one_fraction(self, monkeypatch, fmt):
         from qdeform.poly import Poly
 
-        results, reads = [], []
-        make = getattr(qdeform.cli, producer)
-        monkeypatch.setattr(
-            qdeform.cli, producer, lambda *a, **k: results.append(make(*a, **k)) or results[-1]
-        )
-        view = Poly.coeffs
-        monkeypatch.setattr(Poly, "coeffs", property(lambda p: reads.append(p) or view.fget(p)))
-        code, out, _ = run(capsys, *argv, "--format", fmt)
-        assert code == 0 and out
-        assert len(results) == 1
-        assert sum(p is results[0] for p in reads) == 1
+        p = Poly.monomial(200, Fraction(3, 2))
+        built, out = self._built(monkeypatch, self.RENDERS[fmt], p)
+        assert len(built) == 1
+        expected = {
+            "text": "3/2*x^200",
+            "json": {"basis": "monomial", "coeffs": ["0"] * 200 + ["3/2"]},
+            "csv": ",".join(["0"] * 200 + ["3/2"]),
+        }
+        assert out == expected[fmt]
+
+    def test_counter_sees_a_fraction_per_coefficient(self, monkeypatch):
+        # negative control: the Fraction view of all 201 coefficients is counted
+        from qdeform.poly import Poly
+
+        p = Poly.monomial(200, Fraction(3, 2))
+        built, out = self._built(monkeypatch, lambda p: [str(c) for c in p.coeffs], p)
+        assert len(built) == 201
+        assert out == ["0"] * 200 + ["3/2"]

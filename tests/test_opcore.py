@@ -208,7 +208,8 @@ class TestConjugatedShift:
                     vals = [g.fn(k + 1) for k in range(p.degree)]
                     steps = [h / v if g.inverse else h * v for v in vals]
                     expect = apply(series_form(h, g), p, p.degree)
-                    assert p._conjugated_shift(steps) != expect, (q, name, h)
+                    pairs = [(s.numerator, s.denominator) for s in steps]
+                    assert p._conjugated_shift(pairs) != expect, (q, name, h)
 
     def test_written_forms_take_the_fast_path(self):
         q, p = Fraction(9, 10), Poly([1, 2, 3, 4, 5])
@@ -314,6 +315,43 @@ class TestSingular:
         ctx = ctx_for(Fraction(1, 2))
         s = op_prod(DiagInv(qnum_diag(ctx)), COORD)
         assert apply(s, Poly.one(), 4) == Poly.x()
+
+
+class TestDiagonalEvaluation:
+    """A diagonal's callable is called at the occupied degrees only, from the
+    lowest up, once each."""
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_user_callable_sees_occupied_degrees(self, inverse):
+        calls = []
+        g = DiagFn("g", lambda n: calls.append(n) or Fraction(n + 2, 3), inverse=inverse)
+        p = Poly([0, 5, 0, 0, Fraction(1, 2), 0, 0, 0, 0, 0, 0, 7])
+        out = apply(g, p, 11)
+        assert calls == [1, 4, 11]
+        vals = [Fraction(n + 2, 3) for n in range(12)]
+        expected = [c / v if inverse else c * v for c, v in zip(p.coeffs, vals)]
+        assert out == Poly(expected)
+
+    def test_callable_count_through_a_product(self):
+        calls = []
+        g = DiagFn("g", lambda n: calls.append(n) or Fraction(n + 1))
+        apply(op_prod(g, COORD, g), Poly.monomial(3), 4)
+        assert calls == [3, 4]
+
+    def test_table_diagonal_reads_only_occupied_entries(self):
+        # {A - 2} is undefined at degrees 0 and 1, which x^2 + x^5 leaves empty
+        ctx = ctx_for(Fraction(1, 2))
+        out = apply(qnum_diag(ctx, -2), Poly([0, 0, 1, 0, 0, 1]), 5)
+        assert out == Poly([0, 0, 0, 0, 0, ctx.qnumber(3)])
+        with pytest.raises(ValueError, match="^index -1 is negative$"):
+            apply(qnum_diag(ctx, -2), Poly([0, 1, 1]), 5)
+        with pytest.raises(ValueError, match="^index -4 is negative$"):
+            apply(qnum_diag(ctx, -5), Poly([0, 1]), 5)
+
+    def test_similarity_diagonal_is_one_below_index_zero(self):
+        ctx = ctx_for(Fraction(1, 2))
+        out = apply(gamma_ratio_diag(ctx, -1), Poly([2, 0, 3]), 2)
+        assert out == Poly([2, 0, 3 * ctx.gamma_ratio(1)])
 
 
 class TestRealize:

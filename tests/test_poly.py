@@ -247,6 +247,11 @@ def ref_conjugated_shift(a, h, g):
     return ref_trim(c / u[k] for k, c in enumerate(shifted))
 
 
+def step_pairs(steps):
+    """Fraction steps as the (num, den) pairs _conjugated_shift takes."""
+    return [(s.numerator, s.denominator) for s in steps]
+
+
 def ref_qscale(a, q):
     return ref_trim(c * q**n for n, c in enumerate(a))
 
@@ -341,7 +346,7 @@ class TestKernelOracles:
     )
     def test_conjugated_shift(self, p, h, g):
         g = g[: max(p.degree, 0)]
-        out = p._conjugated_shift([h * v for v in g])
+        out = p._conjugated_shift(step_pairs(h * v for v in g))
         assert_matches(out, ref_conjugated_shift(p.coeffs, h, g))
 
     @given(p=kernel_polys, q=big_rationals)
@@ -453,7 +458,7 @@ class TestKernelOracleControls:
     def test_shifted_conjugation_is_caught(self):
         p, h = _adapted(7), Fraction(-5, 12)
         g = [Fraction(k + 2, 3) for k in range(8)]
-        out = p._conjugated_shift([h * v for v in g[:7]])
+        out = p._conjugated_shift(step_pairs(h * v for v in g[:7]))
         assert_matches(out, ref_conjugated_shift(p.coeffs, h, g[:7]))
         with pytest.raises(AssertionError):
             assert_matches(out, ref_conjugated_shift(p.coeffs, h, g[1:]))

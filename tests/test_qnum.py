@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -164,6 +165,68 @@ class TestStirling:
             stirling_second(2, 5)
 
 
+TABLE_Q = Q_GRID + (Fraction(0), Fraction(3, 2), Fraction(-5, 2))
+TABLE_N = 60
+
+
+def table_faults(pairs, oracle, top=TABLE_N):
+    """Indexes n <= top at which pairs[n] is not oracle(n) as a pair in
+    lowest terms with a positive denominator."""
+    bad = []
+    for n in range(top + 1):
+        num, den = pairs[n]
+        if den <= 0 or math.gcd(num, den) != 1 or Fraction(num, den) != oracle(n):
+            bad.append(n)
+    return bad
+
+
+def table_oracles(q):
+    """Each pair table of QContext(q) with its closed form: {n} directly,
+    [[n]] = n/{n}, q^n, and u(n) = {1}...{n}/n!."""
+    ctx = QContext(q)
+    return {
+        "qnumber": (ctx.qnumber_pairs(TABLE_N), lambda n: qnumber_oracle(q, n)),
+        "dbracket": (
+            ctx.dbracket_pairs(TABLE_N),
+            lambda n: Fraction(n) / qnumber_oracle(q, n) if n else Fraction(1),
+        ),
+        "qpower": (ctx.qpower_pairs(TABLE_N), lambda n: q**n),
+        "gamma_ratio": (
+            ctx.gamma_ratio_pairs(TABLE_N),
+            lambda n: math.prod(qnumber_oracle(q, k) for k in range(1, n + 1)) / factorial(n),
+        ),
+    }
+
+
+class TestPairTables:
+    """The int-pair tables the kernels read, against closed forms."""
+
+    @pytest.mark.filterwarnings("ignore:q = .* lies outside")
+    @pytest.mark.parametrize("q", TABLE_Q, ids=str)
+    def test_tables_match_closed_forms(self, q):
+        for name, (pairs, oracle) in table_oracles(q).items():
+            assert table_faults(pairs, oracle) == [], (q, name)
+
+    @pytest.mark.filterwarnings("ignore:q = .* lies outside")
+    @pytest.mark.parametrize("q", TABLE_Q, ids=str)
+    def test_fraction_accessors_read_the_pairs(self, q):
+        ctx = QContext(q)
+        for n in range(TABLE_N + 1):
+            assert ctx.qnumber(n) == Fraction(*ctx.qnumber_pairs(n)[n])
+            assert ctx.dbracket(n) == Fraction(*ctx.dbracket_pairs(n)[n])
+            assert ctx.gamma_ratio(n) == Fraction(*ctx.gamma_ratio_pairs(n)[n])
+
+    def test_a_perturbed_pair_is_caught(self):
+        # negative control: a wrong value, a pair not in lowest terms and a
+        # negative denominator are each reported at their index
+        q = Fraction(9, 10)
+        pairs, oracle = table_oracles(q)["dbracket"]
+        num, den = pairs[7]
+        for wrong in ((num + 1, den), (2 * num, 2 * den), (-num, -den)):
+            perturbed = pairs[:7] + (wrong,) + pairs[8:]
+            assert table_faults(perturbed, oracle) == [7], wrong
+
+
 class TestQContext:
     def test_rejects_q_one(self):
         with pytest.raises(ValueError):
@@ -206,8 +269,17 @@ class TestQContext:
             assert ctx.dbracket_factorial(n) == prod
 
     def test_growth_is_safe_across_threads(self):
+        from qdeform.opcore import DiagInv, apply, dbracket_diag, gamma_ratio_diag, qnum_diag
+        from qdeform.poly import Poly
+
         q = Fraction(9, 10)
         ctx = QContext(q)
+        # diagonals on the shared context, each grown by the workers' first use
+        diags = (
+            (dbracket_diag(ctx, 1), lambda n: Fraction(n + 1) / qnumber_oracle(q, n + 1)),
+            (DiagInv(qnum_diag(ctx, 1)), lambda n: 1 / qnumber_oracle(q, n + 1)),
+            (gamma_ratio_diag(ctx), lambda n: ctx.qfactorial(n) / factorial(n)),
+        )
         bad = []
 
         def worker(offset):
@@ -216,6 +288,9 @@ class TestQContext:
                     ctx.qfactorial(n - 1) * qnumber_oracle(q, n) if n else 1
                 ):
                     bad.append(n)
+                for diag, value in diags:
+                    if apply(diag, Poly.monomial(n), n) != Poly.monomial(n, value(n)):
+                        bad.append((diag.text, n))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
