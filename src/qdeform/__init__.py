@@ -81,7 +81,7 @@ from .hahn import (
     spectrum,
     table_rows,
 )
-from .dsl import parse, pretty
+from .dsl import parse, parse_poly, pretty
 from . import errors
 
 __version__ = "0.1.0"

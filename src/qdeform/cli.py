@@ -76,10 +76,7 @@ def _parse_expr(args, text):
 
 
 def _parse_poly(args, text) -> Poly:
-    body = text.strip()
-    if not body.startswith("poly("):
-        body = "poly(%s)" % body
-    return dsl.parse(body, q=_context(args), delta=args.delta)
+    return dsl.parse_poly(text, q=_context(args), delta=args.delta)
 
 
 def _emit(fmt: str, data, text, csv=None):

@@ -17,7 +17,8 @@ Grammar (EBNF; ASCII only, whitespace insensitive):
 noncommutative operator product and is left-associative. ``qb``/``qn``/
 ``inv`` demand a diagonal argument, checked while parsing so errors carry
 positions ("line:col: message"). ``poly(...)`` admits only x and rationals
-and is only legal as the entire input.
+and is only legal as the entire input; ``parse_poly`` reads such a literal
+with or without the ``poly(...)`` around it.
 
 ``pretty`` prints an expression through its nodes' own canonical text
 (see ``opcore.Op``), a form whose reparse acts identically on every
@@ -130,7 +131,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.deepest = 0  # deepest level reached in the current power's primary
-        self._q = q
+        self._q = q if q is None or isinstance(q, QContext) else rational(q)
         self._delta = rational(delta) if delta is not None else None
 
     # -- token plumbing -------------------------------------------------
@@ -180,27 +181,30 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
-    def parse_input(self) -> OpExpr | Poly:
+    def parse_input(self, literal: bool) -> OpExpr | Poly:
+        """The entire input: an expression or a poly(...) literal, or when
+        literal, a polynomial literal that may also be bare."""
         tok = self.peek()
-        if tok.kind == "name" and tok.value == "poly":
+        wrapped = tok.kind == "name" and tok.value == "poly"
+        if wrapped:
             self.advance()
             self.expect("(")
-            inner_tok = self.peek()
-            e = self.parse_expr(0)
-            self.expect(")")
-            end = self.peek()
-            if end.kind != "end":
-                raise ParseError("trailing input after poly literal", end.line, end.col)
-            if not _built_from(e, (Coord, Ident)):
-                raise SemanticError(
-                    "poly literals admit only x and rationals", inner_tok.line, inner_tok.col
-                )
-            return apply(e, Poly.one(), working_degree(0, e))
+        inner_tok = self.peek()
         e = self.parse_expr(0)
+        if wrapped:
+            self.expect(")")
+        literal = literal or wrapped
         end = self.peek()
         if end.kind != "end":
-            raise ParseError("trailing input", end.line, end.col)
-        return e
+            what = "trailing input after poly literal" if literal else "trailing input"
+            raise ParseError(what, end.line, end.col)
+        if not literal:
+            return e
+        if not _built_from(e, (Coord, Ident)):
+            raise SemanticError(
+                "poly literals admit only x and rationals", inner_tok.line, inner_tok.col
+            )
+        return apply(e, Poly.one(), working_degree(0, e))
 
     def parse_expr(self, depth: int) -> OpExpr:
         terms = [self.parse_term(depth)]
@@ -325,9 +329,14 @@ def parse(text: str, *, q=None, delta=None):
     call appears. Raises ParseError/SemanticError with "line:col:"
     positions; never anything else on malformed text.
     """
-    if q is not None and not isinstance(q, QContext):
-        q = rational(q)
-    return _Parser(text, q, delta).parse_input()
+    return _Parser(text, q, delta).parse_input(False)
+
+
+def parse_poly(text: str, *, q=None, delta=None) -> Poly:
+    """Parse a polynomial literal, bare ("x^2-1") or wrapped in poly(...);
+    q, delta and the errors are as in parse, with positions in text as
+    given."""
+    return _Parser(text, q, delta).parse_input(True)
 
 
 # ---------------------------------------------------------------------------

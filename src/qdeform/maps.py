@@ -52,7 +52,6 @@ element is read without the lock.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -600,38 +599,29 @@ def qcc_delta_check(ctx: QContext, delta, D: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _series(lam, D: int, ratio) -> Poly:
+    """sum_(n<=D) c_n x^n with c_0 = 1 and c_(n+1) = c_n lam ratio(n+1);
+    ratio is called at 1..D only."""
+    lam = rational(lam)
+    out = [Fraction(1)] * (D >= 0)
+    for n in range(1, D + 1):
+        out.append(out[-1] * lam * ratio(n))
+    return Poly(out)
+
+
 def taylor_exponential(lam, D: int) -> Poly:
     """Truncated classical exponential sum_(n<=D) (lam x)^n / n!."""
-    lam = rational(lam)
-    out = []
-    term = Fraction(1)
-    for n in range(D + 1):
-        out.append(term)
-        term = term * lam / (n + 1)
-    return Poly(out)
+    return _series(lam, D, lambda n: Fraction(1, n))
 
 
 def q_exponential(ctx: QContext, lam, D: int) -> Poly:
     """Truncated q-exponential sum_(n<=D) (lam x)^n / {n}!, the projection of
     the classical exponential under the Jackson map."""
-    lam = rational(lam)
-    out = []
-    lp = Fraction(1)
-    for n in range(D + 1):
-        out.append(lp / ctx.qfactorial(n))
-        lp *= lam
-    return Poly(out)
+    return _series(lam, D, lambda n: 1 / ctx.qnumber(n))
 
 
 def eigenfunction_series(f: Callable[[int], Fraction], D: int, lam=1) -> Poly:
     """Formal eigenfunction sum_n (f(1)...f(n)/n!) (lam x)^n of the lowered
-    generator of the f(B)-family, truncated at D (eigenvalue lam)."""
-    lam = rational(lam)
-    out = []
-    prod = Fraction(1)
-    lp = Fraction(1)
-    for n in range(D + 1):
-        out.append(prod * lp / math.factorial(n))
-        lp *= lam
-        prod *= f(n + 1)
-    return Poly(out)
+    generator of the f(B)-family, truncated at D (eigenvalue lam); f is
+    called at 1..D only."""
+    return _series(lam, D, lambda n: f(n) * Fraction(1, n))

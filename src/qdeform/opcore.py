@@ -328,16 +328,12 @@ class Table(Record):
     pair table: pairs(m) is a sequence of (num, den) pairs in lowest terms,
     den > 0, for the indexes 0..m at least (a QContext table, or the
     degrees themselves). Below index 0, g is the pair below, or undefined
-    when below is None. Called with n it gives g(n) as a Fraction."""
+    when below is None."""
 
     __slots__ = ("pairs", "shift", "below")
 
     def __init__(self, pairs: Callable[[int], tuple], shift: int = 0, below=None):
         super().__init__(pairs, shift, below)
-
-    def __call__(self, n: int) -> Fraction:
-        num, den = self.pairs_at([0] * n + [1])[n]
-        return Fraction(num, den)
 
     def pairs_at(self, num):
         """The pairs of g(n) for n < len(num), read without a per-entry call;
@@ -545,16 +541,9 @@ class LinOp(Record):
         super().__init__(D, columns)
 
     @classmethod
-    def identity(cls, D: int) -> "LinOp":
-        return cls(D, [Poly.monomial(n) for n in range(D + 1)])
-
-    @classmethod
     def from_diagonal(cls, D: int, values) -> "LinOp":
         values = list(values)
         return cls(D, [Poly.monomial(n, values[n]) for n in range(D + 1)])
-
-    def column(self, n: int):
-        return self.columns[n]
 
     @property
     def valid_degrees(self):
@@ -580,30 +569,6 @@ class LinOp(Record):
             if c and self.columns[n] is None:
                 raise DegreeOverflowError("column %d is overflow-marked" % n)
         return Poly._lincomb(zip(p._num, self.columns), p._den)
-
-    def compose(self, other: "LinOp") -> "LinOp":
-        """self after other; overflow marks propagate."""
-        if self.D != other.D:
-            raise ValueError("size mismatch")
-        cols = []
-        for col in other.columns:
-            if col is None:
-                cols.append(None)
-                continue
-            try:
-                cols.append(self.apply_poly(col))
-            except DegreeOverflowError:
-                cols.append(None)
-        return LinOp(self.D, cols)
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        if self.D != other.D:
-            raise ValueError("size mismatch")
-        cols = [
-            None if a is None or b is None else a - b
-            for a, b in zip(self.columns, other.columns)
-        ]
-        return LinOp(self.D, cols)
 
     def is_identity(self) -> bool:
         """True when every non-marked column is x^n (and at least one is)."""

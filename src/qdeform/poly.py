@@ -308,12 +308,7 @@ class Poly:
         self._require_monomial("qscale")
         q = rational(q)
         a, b = q.numerator, q.denominator
-        out = _scaled_down(self._num, b)
-        ap = 1
-        for n in range(1, len(out)):
-            ap *= a
-            out[n] *= ap
-        return Poly._make(out, self._den * b ** max(len(out) - 1, 0))
+        return self._diag([(a**n, b**n) for n in range(len(self._num))])
 
     def derivative(self) -> "Poly":
         self._require_monomial("derivative")
@@ -410,19 +405,12 @@ class Poly:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, x0) -> Fraction:
+        if self.basis != MONOMIAL:
+            return self.to_monomial().evaluate(x0)
         x0 = rational(x0)
-        if self.basis == MONOMIAL:
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x0 + c
-            return acc
-        delta = self.basis.delta
         acc = Fraction(0)
-        prod = Fraction(1)  # running [x0]_n
-        for n, c in enumerate(self.coeffs):
-            if n > 0:
-                prod *= x0 - (n - 1) * delta
-            acc += c * prod
+        for c in reversed(self.coeffs):
+            acc = acc * x0 + c
         return acc
 
     __call__ = evaluate

@@ -9,11 +9,12 @@ and memoizes the derived combinatorial quantities:
     {n}!, [[n]]!                     the associated factorials
     u(n)  = {n}!/n!                  diagonal of the similarity transform
 
-It keeps them as tables of (num, den) int pairs in lowest terms, which the
-operator kernels read without building a ``Fraction`` per value; the
-public accessors (``qnumber``, ``dbracket``, ...) return the same values as
-``fractions.Fraction``. The tables only grow, by rebinding new tuples, and
-every function is pure, so values can be shared freely across threads.
+It keeps them only as tables of (num, den) int pairs in lowest terms,
+which the operator kernels read without building a ``Fraction`` per value;
+the public accessors (``qnumber``, ``dbracket``, ...) build the
+``fractions.Fraction`` of the stored pair. The tables only grow, by
+rebinding new tuples, and every function is pure, so values can be shared
+freely across threads.
 ``Record`` is the base of the package's immutable value classes.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from functools import lru_cache
 
 #: The ground field. Exact, arbitrary precision, always in lowest terms
 #: with positive denominator; ``str()`` yields the "p/q" wire format.
@@ -109,8 +109,7 @@ class QContext:
     q = a/b and P_1 = 1, P_(n+1) = b^n + a P_n, the q-number is
     {n} = P_n / b^(n-1), already in lowest terms since P_n = a^(n-1) mod b,
     and [[n]] = n b^(n-1) / P_n once gcd(n, P_n) is divided out. The
-    Fraction accessors read a tuple of Fractions made from the pairs, so a
-    repeated lookup returns the stored value.
+    Fraction accessors build their value from the stored pair.
 
     The tables grow on demand to the largest index asked for. Growth builds
     new tuples and rebinds them, so a reader always holds a complete table
@@ -118,7 +117,7 @@ class QContext:
     values.
     """
 
-    __slots__ = ("q", "_qnum", "_dbr", "_qpow", "_fact", "_views")
+    __slots__ = ("q", "_qnum", "_dbr", "_qpow", "_fact")
 
     def __init__(self, q):
         q = rational(q)
@@ -138,7 +137,6 @@ class QContext:
         self._qpow = ((1, 1),)
         # ({n}!, [[n]]!, u(n)) rebound as one triple so the three always agree in length
         self._fact = (((1, 1),), ((1, 1),), ((1, 1),))
-        self._views = {}
 
     def qnumber_pairs(self, n: int) -> tuple:
         """The pairs of {0}..{n} (at least), grown if needed."""
@@ -207,53 +205,56 @@ class QContext:
         """The pairs of u(0)..u(n) (at least), grown if needed."""
         return self._factorials(n)[2]
 
-    def _fraction(self, name: str, pairs, n: int) -> Fraction:
-        """Entry n of the pair table pairs(n) as a Fraction, read from a
-        tuple of Fractions kept under name and grown from the pairs."""
-        if n < 0:
-            raise ValueError("index %d is negative" % n)
-        view = self._views.get(name, ())
-        if len(view) <= n:
-            table = pairs(n)
-            view = self._views[name] = view + tuple(
-                Fraction(p, d) for p, d in table[len(view) : n + 1]
-            )
-        return view[n]
-
     def qnumber(self, n: int) -> Fraction:
         """{n} = (1 - q^n)/(1 - q)."""
-        return self._fraction("qnumber", self.qnumber_pairs, n)
+        return _fraction(self.qnumber_pairs, n)
 
     def dbracket(self, n: int) -> Fraction:
         """[[n]] = n/{n}, with [[0]] = 1."""
-        return self._fraction("dbracket", self.dbracket_pairs, n)
+        return _fraction(self.dbracket_pairs, n)
 
     def qfactorial(self, n: int) -> Fraction:
         """{n}! = {1}{2}...{n}, empty product at n = 0."""
-        return self._fraction("qfactorial", lambda m: self._factorials(m)[0], n)
+        return _fraction(lambda m: self._factorials(m)[0], n)
 
     def dbracket_factorial(self, n: int) -> Fraction:
         """[[n]]! = [[1]][[2]]...[[n]], with [[0]]! = 1."""
-        return self._fraction("dbracket_factorial", lambda m: self._factorials(m)[1], n)
+        return _fraction(lambda m: self._factorials(m)[1], n)
 
     def gamma_ratio(self, n: int) -> Fraction:
         """u(n) = Gamma_q(n+1)/Gamma(n+1) = {n}!/n!."""
-        return self._fraction("gamma_ratio", self.gamma_ratio_pairs, n)
+        return _fraction(self.gamma_ratio_pairs, n)
 
     def __repr__(self):
         return "QContext(q=%s)" % self.q
 
 
-@lru_cache(maxsize=None)
+def _fraction(pairs, n: int) -> Fraction:
+    """Entry n of the pair table pairs(n) as a Fraction."""
+    if n < 0:
+        raise ValueError("index %d is negative" % n)
+    return Fraction(*pairs(n)[n])
+
+
+# The rows of s(n, k) (False) and S(n, k) (True) built so far; like the
+# QContext tables they grow by rebinding a new tuple.
+_stirling_rows = {False: ((1,),), True: ((1,),)}
+
+
 def _stirling_row(second: bool, n: int) -> tuple:
     """Row n of s(n, k), or of S(n, k) when second; both kinds follow
-    T(n, k) = T(n-1, k-1) + w T(n-1, k), with weight w = -(n-1) or k."""
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(second, n - 1) + (0,)
-    return tuple(
-        (prev[k - 1] if k else 0) + (k if second else 1 - n) * prev[k] for k in range(n + 1)
-    )
+    T(m, k) = T(m-1, k-1) + w T(m-1, k), with weight w = -(m-1) or k."""
+    rows = _stirling_rows[second]
+    if len(rows) <= n:
+        grown = list(rows)
+        for m in range(len(grown), n + 1):
+            prev = grown[-1] + (0,)
+            grown.append(tuple(
+                (prev[k - 1] if k else 0) + (k if second else 1 - m) * prev[k]
+                for k in range(m + 1)
+            ))
+        rows = _stirling_rows[second] = tuple(grown)
+    return rows[n]
 
 
 def stirling_first(n: int, k: int) -> int:

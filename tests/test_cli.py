@@ -77,6 +77,30 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestPolyArgumentPositions:
+    # the DSL reads a polynomial argument as given, bare or wrapped, so an
+    # error position is a column of the argument itself
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            ("x%", "1:2: unexpected character '%'"),
+            ("poly(x%)", "1:7: unexpected character '%'"),
+            ("  x%", "1:4: unexpected character '%'"),
+            (" poly(x%)", "1:8: unexpected character '%'"),
+            ("x)", "1:2: trailing input after poly literal"),
+            ("poly(x))", "1:8: trailing input after poly literal"),
+            (" x)", "1:3: trailing input after poly literal"),
+            (" x*d", "1:2: poly literals admit only x and rationals"),
+        ],
+    )
+    def test_error_column(self, capsys, arg, message):
+        assert run(capsys, "apply", "x", arg) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("arg", ["x^2+1", "poly(x^2+1)", "  x^2+1 ", " poly(x^2+1)"])
+    def test_bare_and_wrapped_forms_agree(self, capsys, arg):
+        assert run(capsys, "apply", "x", arg) == (0, "x^3+x\n", "")
+
+
 class TestOccupiedDegrees:
     """A diagonal is evaluated at the occupied degrees of its input only."""
 

@@ -621,6 +621,22 @@ class TestEigenfunctionSeries:
         lhs = apply(m.image_a, series, D)
         assert lhs == series.truncated(D - 1)
 
+    def test_f_is_called_at_one_to_D_only(self):
+        # coefficient n needs f(1)...f(n), so f past D is never evaluated
+        D, calls = 8, []
+
+        def f(n):
+            calls.append(n)
+            if n > D:
+                raise ValueError("f is undefined past %d" % D)
+            return Fraction(n + 2)
+
+        series = eigenfunction_series(f, D, Fraction(-1, 3))
+        assert calls == list(range(1, D + 1))
+        # f(1)...f(n) / n! = (n+2)!/(2 n!)
+        expect = [Fraction(factorial(n + 2), 2 * factorial(n)) * Fraction(-1, 3) ** n for n in range(D + 1)]
+        assert series == Poly(expect)
+
     def test_family_contains_jackson(self):
         ctx = ctx_for(Fraction(1, 2))
         m = fb_map("jackson", ctx.dbracket, q=ctx.q)

@@ -1,8 +1,10 @@
 import math
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -158,6 +160,23 @@ class TestStirling:
                 total = sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
                 assert stirling_second(n, k) * factorial(k) == total
 
+    def test_cold_rows_stay_off_the_call_stack(self):
+        # a row is built from the one below it without recursing, so a cold
+        # row past a small recursion limit is fine
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys; sys.path.insert(0, %r); sys.setrecursionlimit(200)\n"
+            "from math import factorial\n"
+            "from qdeform.poly import Poly\n"
+            "from qdeform.qnum import stirling_first, stirling_second\n"
+            "print(stirling_first(400, 1) == (-1) ** 399 * factorial(399))\n"
+            "print(stirling_second(400, 2) == 2 ** 399 - 1)\n"
+            "print(Poly.falling_element(401, 1).to_monomial().coefficient(1) == factorial(400))\n"
+        ) % src
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "True\n" * 3
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             stirling_first(3, 4)
@@ -259,8 +278,11 @@ class TestQContext:
     def test_dbracket_is_tabulated(self):
         ctx = QContext(Fraction(9, 10))
         first = [ctx.dbracket(n) for n in range(30)]
-        # a second lookup returns the stored value instead of dividing again
-        assert all(ctx.dbracket(n) is v for n, v in enumerate(first))
+        table = ctx.dbracket_pairs(29)
+        # a second lookup reads the stored pair table instead of growing it again
+        assert [ctx.dbracket(n) for n in range(30)] == first
+        assert ctx.dbracket_pairs(29) is table
+        assert all(Fraction(*table[n]) == v for n, v in enumerate(first))
         assert first[0] == 1
         assert all(v == n / qnumber_oracle(Fraction(9, 10), n) for n, v in enumerate(first) if n)
         prod = Fraction(1)

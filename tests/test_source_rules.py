@@ -56,6 +56,35 @@ def test_no_dataclasses_or_typing_imports(path):
     assert modules == [], "%s imports %s" % (path.name, modules)
 
 
+def _foreign_imports(source: str) -> list:
+    """(line, module) of each import in source that names neither a
+    standard-library module nor qdeform; a relative import is qdeform's."""
+    tree = ast.parse(source)
+    return [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+        )
+        if name.split(".")[0] not in sys.stdlib_module_names | {"qdeform"}
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_runtime_dependencies(path):
+    # the library runs on the standard library alone
+    foreign = _foreign_imports(path.read_text())
+    assert foreign == [], "%s imports %s" % (path.name, foreign)
+
+
+def test_runtime_dependency_rule_sees_a_foreign_import():
+    source = "import math\nfrom . import poly\nfrom qdeform.qnum import QContext\n"
+    assert _foreign_imports(source) == []
+    assert _foreign_imports(source + "import numpy as np\n") == [(4, "numpy")]
+    assert _foreign_imports("def f():\n    from numpy.linalg import solve\n") == [(2, "numpy.linalg")]
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     src = str(SOURCES[0].parent.parent)
     code = (
