@@ -4,6 +4,10 @@ Subcommands: apply, realize, verify, basis, project, hahn, spectrum.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 usage/parse problems, 3 mathematical failures (singularity, degeneracy,
 identity violation). Identical invocations produce byte-identical output.
+
+``verify all`` runs its suites on one process per usable CPU when the
+process can fork and has a single thread, and one after another otherwise;
+its output and exit code are the same either way.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -507,10 +508,10 @@ class TestDeterminism:
     def test_module_entry_point(self):
         repo = Path(__file__).resolve().parents[1]
         cmd = [sys.executable, "-m", "qdeform.cli", "apply", "Dq", "poly(x^3)", "--q", "1/2"]
-        env_path = str(repo / "src")
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-        )
+        # a copy of the caller's environment keeps PYTHONDONTWRITEBYTECODE,
+        # so the run leaves no bytecode cache in the tree
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == "7/4*x^2\n"
 
@@ -522,7 +523,7 @@ class TestParserReuse:
         import qdeform.cli
 
         repo = Path(__file__).resolve().parents[1]
-        env = {"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin", "COLUMNS": "80"}
+        env = {**os.environ, "PYTHONPATH": str(repo / "src"), "COLUMNS": "80"}
         monkeypatch.setenv("COLUMNS", "80")
         builds = []
 

@@ -2,6 +2,7 @@
 the modules the CLI loads, in a fresh interpreter)."""
 
 import ast
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,11 +86,32 @@ def test_runtime_dependency_rule_sees_a_foreign_import():
     assert _foreign_imports("def f():\n    from numpy.linalg import solve\n") == [(2, "numpy.linalg")]
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    src = str(SOURCES[0].parent.parent)
+# modules that cost start-up time on every CLI call; pickle alone takes
+# about 3 ms, and verify's worker processes need none of the last four
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "typing", "pickle", "multiprocessing", "concurrent", "subprocess",
+)
+
+
+def _heavy_modules_loaded(src: str) -> list:
+    """The HEAVY_MODULES that importing qdeform.cli from src loads in a
+    fresh interpreter without site packages."""
     code = (
         "import sys; sys.path.insert(0, %r); import qdeform.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))" % src
+        "print(' '.join(sorted(set(%r) & set(sys.modules))))" % (src, HEAVY_MODULES)
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    assert _heavy_modules_loaded(str(SOURCES[0].parent.parent)) == []
+
+
+@pytest.mark.parametrize("module", ["pickle", "multiprocessing", "concurrent.futures", "subprocess"])
+def test_heavy_module_rule_sees_a_module_level_import(tmp_path, module):
+    package = tmp_path / "qdeform"
+    shutil.copytree(SOURCES[0].parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    verify = package / "verify.py"
+    verify.write_text(verify.read_text() + "\nimport %s\n" % module)
+    assert module.split(".")[0] in _heavy_modules_loaded(str(tmp_path))

@@ -1,10 +1,14 @@
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from qdeform import hahn, maps, verify
 from qdeform.cli import main
+from qdeform.errors import EmptyWindowError
 from qdeform.opcore import COORD, DERIV, IntPow, op_prod
 from qdeform.poly import Poly
 from qdeform.qnum import QContext
@@ -127,3 +131,135 @@ def test_intertwine_projects_each_input_once(capsys, monkeypatch):
     monkeypatch.setattr(maps, "b_projection", lambda *args: calls.append(args) or orig(*args))
     assert main(["verify", "intertwine", "--q=1/2", "--delta=1", "--degree", "10"]) == 0
     assert len(calls) <= 200
+
+
+# run_suite("all") forks one worker per further usable CPU when it is called
+# from the only live thread; from a second thread it runs every suite here,
+# one after another. The tests below compare the two paths.
+
+
+def _serially(fn, *args):
+    """fn(*args) called from a second thread, so run_suite takes its serial
+    path; returns what it returns and raises what it raises."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn(*args)
+        except Exception as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(120)
+    assert not thread.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains one entry per os.fork call in this process."""
+    if verify._usable_cpus() < 2:
+        pytest.skip("one usable CPU: run_suite never forks")
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("D", [8, 16])
+@pytest.mark.parametrize("q,delta", [("1/2", "1"), ("-9/10", "-1/2")])
+def test_forked_and_serial_paths_agree(forks, q, delta, D):
+    ctx, delta = QContext(Fraction(q)), Fraction(delta)
+    forked = run_suite("all", ctx, delta, D)
+    assert forks and _no_child_left()
+    assert forked == _serially(run_suite, "all", ctx, delta, D)
+
+
+def test_more_workers_than_cores_agree(monkeypatch, forks):
+    # one worker per suite after the first, whatever the machine has
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 64)
+    ctx, delta = QContext(Fraction(-1, 3)), Fraction(3, 2)
+    forked = run_suite("all", ctx, delta, 10)
+    assert len(forks) == len(SUITES) - 1 and _no_child_left()
+    assert forked == _serially(run_suite, "all", ctx, delta, 10)
+
+
+def test_single_suite_runs_here(forks):
+    assert run_suite("hahn", QContext(Fraction(1, 2)), Fraction(1), 8)
+    assert forks == []
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_failing_check_keeps_its_place(capsys, monkeypatch, forks, name):
+    monkeypatch.setitem(SUITES, name, lambda ctx, delta, D: [verify.Check("patched", False)])
+    argv = ["verify", "all", "--q=1/3", "--delta=2", "--degree", "8"]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert forks and _no_child_left()
+    assert _serially(main, argv) == 3
+    assert capsys.readouterr().out == out
+    ctx, keys = QContext(Fraction(1, 3)), list(SUITES)
+    before = sum(len(SUITES[key](ctx, Fraction(2), 8)) for key in keys[: keys.index(name)])
+    lines = out.splitlines()
+    assert [i for i, line in enumerate(lines) if line.startswith("FAIL ")] == [before]
+    assert lines[before].startswith("FAIL patched ")
+
+
+def _raising(message):
+    def suite(ctx, delta, D):
+        raise EmptyWindowError(message)
+
+    return suite
+
+
+@pytest.mark.parametrize("first,later", [("ccr", "hahn"), ("qccr", "intertwine"), ("composition", "hahn")])
+def test_first_raising_suite_propagates(capsys, monkeypatch, forks, first, later):
+    # the first suite in order that raises gives the exception, wherever it
+    # ran; the CLI reports it as one stderr line and exits 3
+    monkeypatch.setitem(SUITES, first, _raising("no window in %s" % first))
+    monkeypatch.setitem(SUITES, later, _raising("no window in %s" % later))
+    ctx, delta = QContext(Fraction(1, 3)), Fraction(2)
+    with pytest.raises(EmptyWindowError, match="^no window in %s$" % first):
+        run_suite("all", ctx, delta, 8)
+    assert forks and _no_child_left()
+    with pytest.raises(EmptyWindowError, match="^no window in %s$" % first):
+        _serially(run_suite, "all", ctx, delta, 8)
+    argv = ["verify", "all", "--q=1/3", "--delta=2", "--degree", "8"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: no window in %s\n" % first)
+    assert _no_child_left()
+    assert _serially(main, argv) == 3
+    assert capsys.readouterr() == ("", "error: no window in %s\n" % first)
+
+
+def test_workers_are_killed_when_the_parent_raises(monkeypatch, forks):
+    # every suite raises in this process and blocks in a worker: the call
+    # must kill the workers instead of waiting for them, and report the
+    # first suite's exception
+    parent = os.getpid()
+
+    def blocking(key):
+        def suite(ctx, delta, D):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise EmptyWindowError("no window in %s" % key)
+
+        return suite
+
+    for key in list(SUITES):
+        monkeypatch.setitem(SUITES, key, blocking(key))
+    start = time.monotonic()
+    with pytest.raises(EmptyWindowError, match="^no window in ccr$"):
+        run_suite("all", QContext(Fraction(1, 2)), Fraction(1), 8)
+    assert time.monotonic() - start < 30
+    assert forks and _no_child_left()
