@@ -10,7 +10,7 @@ truncated polynomial spaces, with every identity decidable and machine
 checked.
 """
 
-from .qnum import QContext, Rational, rational, stirling_first, stirling_second
+from .qnum import QContext, rational, stirling_first, stirling_second
 from .poly import FallingFactorial, MONOMIAL, Monomial, Poly
 from .opcore import (
     A_DIAG,
@@ -24,7 +24,6 @@ from .opcore import (
     IntPow,
     LinOp,
     OpExpr,
-    acts_equally,
     apply,
     commutator,
     dbracket_diag,
@@ -33,7 +32,6 @@ from .opcore import (
     op_sum,
     q_commutator,
     qnum_diag,
-    qpow_diag,
     realize,
     realize_exact,
     scaled,
@@ -42,7 +40,6 @@ from .opcore import (
 from .maps import (
     DeformMap,
     a_delta_expr,
-    adapted_basis,
     b_delta_expr,
     b_projection,
     compose,
@@ -63,10 +60,7 @@ from .maps import (
     quantum_average,
     rolle_check,
     s_expr,
-    similarity_U,
     similarity_check,
-    taylor_exponential,
-    u_expr,
     xq_expr,
 )
 from .hahn import (

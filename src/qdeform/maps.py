@@ -70,7 +70,6 @@ from .opcore import (
     ExpOp,
     IDENT,
     IntPow,
-    LinOp,
     OpExpr,
     apply,
     dbracket_diag,
@@ -130,11 +129,6 @@ def b_delta_expr(delta) -> OpExpr:
     if delta == 0:
         return COORD
     return op_prod(COORD, ExpOp(scaled(-delta, DERIV)))
-
-
-def u_expr(ctx: QContext) -> OpExpr:
-    """Similarity diagonal U(A), u(n) = {n}!/n!."""
-    return gamma_ratio_diag(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +467,6 @@ def map_from_json(data: dict) -> DeformMap:
 # ---------------------------------------------------------------------------
 
 
-def adapted_basis(m: DeformMap, n: int, D: int) -> Poly:
-    """|n> for the map, built by repeated application of the raising image."""
-    if n > D:
-        raise ValueError("basis index %d exceeds the truncation %d" % (n, D))
-    return m.basis_element(n)
-
-
 def b_projection(f: Poly, m: DeformMap, D: int) -> Poly:
     """Projection of f onto functions of the deformed raising generator:
     monomial coefficients of f reweight the adapted basis, sum_n f_n |n>.
@@ -556,16 +543,11 @@ def rolle_check(f: Poly, ctx: QContext, D: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def similarity_U(ctx: QContext, D: int) -> LinOp:
-    """Diagonal U with entries u(n) = {n}!/n!."""
-    return LinOp.from_diagonal(D, [ctx.gamma_ratio(n) for n in range(D + 1)])
-
-
 def similarity_check(ctx: QContext, D: int) -> bool:
     """U^(-1) d U equals the Jackson derivative and U^(-1) x U its conjugate
     coordinate, exactly on the safe window; also the one-step shift identity
     U(A)^(-1) U(A-1) x = [[A]] x."""
-    u = u_expr(ctx)
+    u = gamma_ratio_diag(ctx)
     u_inv = DiagInv(u)
     du = op_prod(u_inv, DERIV, u)
     xu = op_prod(u_inv, COORD, u)
@@ -599,29 +581,19 @@ def qcc_delta_check(ctx: QContext, delta, D: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _series(lam, D: int, ratio) -> Poly:
-    """sum_(n<=D) c_n x^n with c_0 = 1 and c_(n+1) = c_n lam ratio(n+1);
-    ratio is called at 1..D only."""
-    lam = rational(lam)
-    out = [Fraction(1)] * (D >= 0)
-    for n in range(1, D + 1):
-        out.append(out[-1] * lam * ratio(n))
-    return Poly(out)
-
-
-def taylor_exponential(lam, D: int) -> Poly:
-    """Truncated classical exponential sum_(n<=D) (lam x)^n / n!."""
-    return _series(lam, D, lambda n: Fraction(1, n))
-
-
 def q_exponential(ctx: QContext, lam, D: int) -> Poly:
-    """Truncated q-exponential sum_(n<=D) (lam x)^n / {n}!, the projection of
-    the classical exponential under the Jackson map."""
-    return _series(lam, D, lambda n: 1 / ctx.qnumber(n))
+    """Truncated q-exponential sum_(n<=D) (lam x)^n / ({1}...{n}), the
+    projection of the classical exponential under the Jackson map: the
+    eigenfunction series with f(n) = [[n]], since [[n]]/n = 1/{n}."""
+    return eigenfunction_series(ctx.dbracket, D, lam)
 
 
 def eigenfunction_series(f: Callable[[int], Fraction], D: int, lam=1) -> Poly:
     """Formal eigenfunction sum_n (f(1)...f(n)/n!) (lam x)^n of the lowered
     generator of the f(B)-family, truncated at D (eigenvalue lam); f is
     called at 1..D only."""
-    return _series(lam, D, lambda n: f(n) * Fraction(1, n))
+    lam = rational(lam)
+    out = [Fraction(1)] * (D >= 0)
+    for n in range(1, D + 1):
+        out.append(out[-1] * lam * (f(n) * Fraction(1, n)))
+    return Poly(out)

@@ -6,9 +6,9 @@ multiples, ordered products (leftmost factor acts last), integer powers,
 terminating exponentials, and diagonal nodes. ``DiagFn`` is the one
 diagonal node kind, a function g of the degree operator that scales the
 n-th basis element by g(n), or divides by it when inverted. On monomials
-it houses A = x d/dx, B = 1+A, {A}, [[B]], q^A and the similarity
-diagonal; in a map's adapted basis it is g of the deformed degree
-operator, which is how such functions are evaluated spectrally. The
+it houses A = x d/dx, B = 1+A, {A}, [[B]] and the similarity diagonal;
+in a map's adapted basis it is g of the deformed degree operator, which
+is how such functions are evaluated spectrally. The
 standard diagonals read g from a ``Table`` of (num, den) int pairs (a
 QContext's tables, or the degrees themselves); any other callable is
 adapted at its node. Either way g is evaluated at the occupied degrees of
@@ -242,7 +242,7 @@ class IntPow(Op):
     children = property(lambda self: (self.base,))
 
     def __init__(self, base: OpExpr, n: int):
-        if n < 0:
+        if not isinstance(n, int) or n < 0:
             raise ValueError("operator powers take natural exponents")
         super().__init__(base, n)
 
@@ -546,10 +546,6 @@ class LinOp(Record):
         return cls(D, [Poly.monomial(n, values[n]) for n in range(D + 1)])
 
     @property
-    def valid_degrees(self):
-        return tuple(n for n, col in enumerate(self.columns) if col is not None)
-
-    @property
     def band(self):
         offsets = [
             (next(i for i, c in enumerate(col._num) if c) - n, col.degree - n)
@@ -559,16 +555,6 @@ class LinOp(Record):
         if not offsets:
             return (0, 0)
         return min(lo for lo, _ in offsets), max(hi for _, hi in offsets)
-
-    def apply_poly(self, p: Poly) -> Poly:
-        if p.basis != MONOMIAL:
-            raise UnsupportedBasisOperationError("LinOp acts on monomial polynomials")
-        if p.degree > self.D:
-            raise ValueError("degree exceeds realization size")
-        for n, c in enumerate(p._num):
-            if c and self.columns[n] is None:
-                raise DegreeOverflowError("column %d is overflow-marked" % n)
-        return Poly._lincomb(zip(p._num, self.columns), p._den)
 
     def is_identity(self) -> bool:
         """True when every non-marked column is x^n (and at least one is)."""
@@ -580,15 +566,6 @@ class LinOp(Record):
             if col != Poly.monomial(n):
                 return False
         return seen
-
-    def is_zero(self) -> bool:
-        return all(col is None or col.is_zero for col in self.columns)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            col is None or col.truncated(n - 1).is_zero and col.degree <= n
-            for n, col in enumerate(self.columns)
-        )
 
     def diagonal(self):
         """Entry (n, n) per column, None where overflow-marked."""
@@ -631,11 +608,6 @@ def realize_exact(e: OpExpr, D: int) -> LinOp:
         img = apply(e, Poly.monomial(n), Dw)
         cols.append(img if img.degree <= D else None)
     return LinOp(D, cols)
-
-
-def acts_equally(e1: OpExpr, e2: OpExpr, D: int) -> bool:
-    """Exact equality of action on all x^n, n <= D (overflow marks must agree)."""
-    return realize_exact(e1, D) == realize_exact(e2, D)
 
 
 def _weighted_commutator(e1, e2, w, D):
@@ -722,11 +694,6 @@ def qnum_diag(ctx: QContext, shift: int = 0) -> DiagFn:
 def dbracket_diag(ctx: QContext, shift: int = 0) -> DiagFn:
     """[[A + shift]]: x^n -> [[n + shift]] x^n."""
     return DiagFn(_shift_name("qb", shift), Table(ctx.dbracket_pairs, shift))
-
-
-def qpow_diag(ctx: QContext) -> DiagFn:
-    """q^A: x^n -> q^n x^n."""
-    return DiagFn("q^A", Table(ctx.qpower_pairs))
 
 
 def gamma_ratio_diag(ctx: QContext, shift: int = 0) -> DiagFn:

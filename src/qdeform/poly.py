@@ -133,15 +133,12 @@ class Poly:
     @classmethod
     def monomial(cls, n, coeff=1):
         """coeff * x^n."""
+        if n < 0:
+            raise ValueError("monomial degree %d is negative" % n)
         c = coeff if isinstance(coeff, int) else rational(coeff)
         if not c:
             return cls.zero()
         return cls._make([0] * n + [c.numerator], c.denominator, reduced=True)
-
-    @classmethod
-    def falling_element(cls, n, delta):
-        """[x]_n as a falling-basis polynomial."""
-        return cls._make([0] * n + [1], 1, FallingFactorial(delta), reduced=True)
 
     # -- structure ----------------------------------------------------
 

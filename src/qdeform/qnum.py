@@ -3,11 +3,10 @@
 Nothing here ever rounds. A ``QContext`` fixes the deformation parameter q
 and memoizes the derived combinatorial quantities:
 
-    {n}   = (1 - q^n)/(1 - q)        q-number of n, {0} = 0
-    [[n]] = n/{n}                    double bracket, [[0]] = 1
-    q^n                              powers of q
-    {n}!, [[n]]!                     the associated factorials
-    u(n)  = {n}!/n!                  diagonal of the similarity transform
+    {n}    = (1 - q^n)/(1 - q)       q-number of n, {0} = 0
+    [[n]]  = n/{n}                   double bracket, [[0]] = 1
+    [[n]]! = [[1]]...[[n]]           double-bracket factorial, [[0]]! = 1
+    u(n)   = 1/[[n]]!                diagonal of the similarity transform
 
 It keeps them only as tables of (num, den) int pairs in lowest terms,
 which the operator kernels read without building a ``Fraction`` per value;
@@ -23,10 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-
-#: The ground field. Exact, arbitrary precision, always in lowest terms
-#: with positive denominator; ``str()`` yields the "p/q" wire format.
-Rational = Fraction
 
 
 def rational(value) -> Fraction:
@@ -117,7 +112,7 @@ class QContext:
     values.
     """
 
-    __slots__ = ("q", "_qnum", "_dbr", "_qpow", "_fact")
+    __slots__ = ("q", "_qnum", "_dbr", "_fact")
 
     def __init__(self, q):
         q = rational(q)
@@ -134,9 +129,8 @@ class QContext:
         self.q = q
         self._qnum = ((0, 1), (1, 1))
         self._dbr = ((1, 1),)
-        self._qpow = ((1, 1),)
-        # ({n}!, [[n]]!, u(n)) rebound as one triple so the three always agree in length
-        self._fact = (((1, 1),), ((1, 1),), ((1, 1),))
+        # ([[n]]!, u(n)) rebound as one pair so the two always agree in length
+        self._fact = (((1, 1),), ((1, 1),))
 
     def qnumber_pairs(self, n: int) -> tuple:
         """The pairs of {0}..{n} (at least), grown if needed."""
@@ -167,43 +161,26 @@ class QContext:
             t = self._dbr = tuple(grown)
         return t
 
-    def qpower_pairs(self, n: int) -> tuple:
-        """The pairs of q^0..q^n (at least), grown if needed."""
-        t = self._qpow
-        if len(t) <= n:
-            a, b = self.q.numerator, self.q.denominator
-            grown = list(t)
-            p, d = grown[-1]
-            while len(grown) <= n:
-                p, d = a * p, b * d
-                grown.append((p, d))
-            t = self._qpow = tuple(grown)
-        return t
-
     def _factorials(self, n: int) -> tuple:
-        """The pair tables ({k}!, [[k]]!, u(k)) for k = 0..n (at least), grown
-        if needed; u(k) = {k}!/k! is the reciprocal of [[k]]!."""
+        """The pair tables ([[k]]!, u(k)) for k = 0..n (at least), grown if
+        needed; u(k) is the reciprocal of [[k]]!."""
         t = self._fact
         if len(t[0]) <= n:
-            qnum = self.qnumber_pairs(n)
             dbr = self.dbracket_pairs(n)
-            qfact, dbfact, gamma = (list(table) for table in t)
-            for k in range(len(qfact), n + 1):
-                # {k}! = P_1...P_k / b^(k(k-1)/2) stays in lowest terms
-                (p, d), (pk, dk) = qfact[-1], qnum[k]
-                qfact.append((p * pk, d * dk))
+            dbfact, gamma = (list(table) for table in t)
+            for k in range(len(dbfact), n + 1):
                 # [[k]]! = [[k-1]]! [[k]], cross-reduced as Fraction multiplies
                 (p, d), (pk, dk) = dbfact[-1], dbr[k]
                 g1, g2 = math.gcd(p, dk), math.gcd(pk, d)
                 p, d = (p // g1) * (pk // g2), (d // g2) * (dk // g1)
                 dbfact.append((p, d))
                 gamma.append((d, p) if p > 0 else (-d, -p))
-            t = self._fact = (tuple(qfact), tuple(dbfact), tuple(gamma))
+            t = self._fact = (tuple(dbfact), tuple(gamma))
         return t
 
     def gamma_ratio_pairs(self, n: int) -> tuple:
         """The pairs of u(0)..u(n) (at least), grown if needed."""
-        return self._factorials(n)[2]
+        return self._factorials(n)[1]
 
     def qnumber(self, n: int) -> Fraction:
         """{n} = (1 - q^n)/(1 - q)."""
@@ -213,17 +190,9 @@ class QContext:
         """[[n]] = n/{n}, with [[0]] = 1."""
         return _fraction(self.dbracket_pairs, n)
 
-    def qfactorial(self, n: int) -> Fraction:
-        """{n}! = {1}{2}...{n}, empty product at n = 0."""
-        return _fraction(lambda m: self._factorials(m)[0], n)
-
     def dbracket_factorial(self, n: int) -> Fraction:
         """[[n]]! = [[1]][[2]]...[[n]], with [[0]]! = 1."""
-        return _fraction(lambda m: self._factorials(m)[1], n)
-
-    def gamma_ratio(self, n: int) -> Fraction:
-        """u(n) = Gamma_q(n+1)/Gamma(n+1) = {n}!/n!."""
-        return _fraction(self.gamma_ratio_pairs, n)
+        return _fraction(lambda m: self._factorials(m)[0], n)
 
     def __repr__(self):
         return "QContext(q=%s)" % self.q

@@ -22,7 +22,6 @@ from fractions import Fraction
 from .hahn import HahnParams, isospectral_check
 from .maps import (
     a_delta_expr,
-    adapted_basis,
     b_delta_expr,
     b_projection,
     compose,
@@ -200,8 +199,8 @@ def suite_composition(ctx: QContext, delta, D: int):
     q = ctx.q
     qd = compose(phi_q(ctx), phi_delta(delta))
     dq = compose(phi_delta(delta), phi_q(ctx))
-    two_qd = adapted_basis(qd, 2, D)
-    two_dq = adapted_basis(dq, 2, D)
+    two_qd = qd.basis_element(2)
+    two_dq = dq.basis_element(2)
     expect_qd = Poly([0, -delta, Fraction(2, 1) / (1 + q)])
     expect_dq = (Poly.x() * (Poly.x() - Poly([delta]))).scale(Fraction(2, 1) / (1 + q))
     checks = [
@@ -214,8 +213,8 @@ def suite_composition(ctx: QContext, delta, D: int):
     funct = True
     for outer, inner, comp in ((mq, md, qd), (md, mq, dq)):
         for n in range(9):
-            lhs = adapted_basis(comp, n, D)
-            rhs = b_projection(adapted_basis(inner, n, D), outer, D)
+            lhs = comp.basis_element(n)
+            rhs = b_projection(inner.basis_element(n), outer, D)
             funct = funct and lhs == rhs
     checks.append(Check("induced map of a composition factorizes", funct))
     ident = identity_map()
@@ -223,7 +222,7 @@ def suite_composition(ctx: QContext, delta, D: int):
         Check(
             "compose(identity, m) acts like m",
             all(
-                adapted_basis(compose(ident, md), n, D) == adapted_basis(md, n, D)
+                compose(ident, md).basis_element(n) == md.basis_element(n)
                 for n in range(6)
             ),
         )

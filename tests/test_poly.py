@@ -91,7 +91,7 @@ class TestQScale:
 class TestBasisConversion:
     def test_falling_square(self):
         # [x]_2 with delta = 1 expands to x^2 - x
-        elt = Poly.falling_element(2, 1)
+        elt = Poly([0, 0, 1], FallingFactorial(1))
         assert elt.to_monomial() == Poly([0, -1, 1])
 
     def test_low_degrees_fixed(self):
@@ -104,7 +104,7 @@ class TestBasisConversion:
     def test_elements_match_product_oracle(self):
         for delta in (Fraction(1), Fraction(-1, 2), Fraction(3)):
             for n in range(9):
-                elt = Poly.falling_element(n, delta)
+                elt = Poly([0] * n + [1], FallingFactorial(delta))
                 assert elt.to_monomial() == falling_product_oracle(n, delta)
 
     def test_round_trip_50_random(self, rng):
@@ -119,7 +119,7 @@ class TestBasisConversion:
     def test_conversions_are_unit_triangular(self):
         delta = Fraction(1, 2)
         for n in range(8):
-            down = Poly.falling_element(n, delta).to_monomial()
+            down = Poly([0] * n + [1], FallingFactorial(delta)).to_monomial()
             up = Poly.monomial(n).to_falling(delta)
             assert down.degree == up.degree == n
             assert down.coefficient(n) == up.coefficient(n) == 1
@@ -146,8 +146,8 @@ class TestEval:
 
     def test_falling_product_form(self):
         # [x]_3 at x = 2 with delta 1: 2*1*0
-        assert Poly.falling_element(3, 1)(2) == 0
-        assert Poly.falling_element(3, 1)(4) == 4 * 3 * 2
+        assert Poly([0, 0, 0, 1], FallingFactorial(1))(2) == 0
+        assert Poly([0, 0, 0, 1], FallingFactorial(1))(4) == 4 * 3 * 2
 
     @given(p=monomial_polys, delta=small_rationals, t=small_rationals)
     def test_commutes_with_conversion(self, p, delta, t):
@@ -432,6 +432,11 @@ class TestConstructors:
         assert (p._num, p._den) == (ref._num, ref._den)
         assert p == ref and p.coeffs == ref.coeffs and p(3) == ref(3)
 
+    def test_monomial_rejects_negative_degree(self):
+        for n, c in ((-1, 1), (-2, 3), (-1, 0)):
+            with pytest.raises(ValueError, match="monomial degree %d is negative" % n):
+                Poly.monomial(n, c)
+
     def test_named_polynomials(self):
         falling = FallingFactorial(Fraction(1, 2))
         pairs = [
@@ -439,7 +444,6 @@ class TestConstructors:
             (Poly.zero(falling), Poly([], falling)),
             (Poly.one(), Poly([1])),
             (Poly.x(), Poly([0, 1])),
-            (Poly.falling_element(3, Fraction(1, 2)), Poly([0, 0, 0, 1], falling)),
         ]
         for p, ref in pairs:
             assert_canonical(p)

@@ -68,38 +68,40 @@ class TestFactorials:
     def test_empty_products(self):
         for q in Q_GRID:
             ctx = QContext(q)
-            assert ctx.qfactorial(0) == 1
             assert ctx.dbracket_factorial(0) == 1
 
     def test_product_oracles(self):
         ctx = QContext(Fraction(1, 3))
-        qf = Fraction(1)
         db = Fraction(1)
         for n in range(1, 13):
-            qf *= qnumber_oracle(Fraction(1, 3), n)
             db *= Fraction(n) / qnumber_oracle(Fraction(1, 3), n)
-            assert ctx.qfactorial(n) == qf
             assert ctx.dbracket_factorial(n) == db
 
     @given(q=q_values, n=st.integers(min_value=0, max_value=10))
     def test_cross_identity(self, q, n):
         # [[n]]! = n!/{n}!; two independent product definitions
         ctx = QContext(q)
-        assert ctx.dbracket_factorial(n) == factorial(n) / ctx.qfactorial(n)
+        qfactorial = math.prod((ctx.qnumber(k) for k in range(1, n + 1)), start=Fraction(1))
+        assert ctx.dbracket_factorial(n) == factorial(n) / qfactorial
+
+
+def gamma_ratio(ctx, n):
+    """u(n), read off the pair table."""
+    return Fraction(*ctx.gamma_ratio_pairs(n)[n])
 
 
 class TestGammaRatio:
     def test_empty(self):
         for q in Q_GRID:
-            assert QContext(q).gamma_ratio(0) == 1
+            assert gamma_ratio(QContext(q), 0) == 1
 
     def test_hand_value(self):
-        assert QContext(Fraction(1, 2)).gamma_ratio(2) == Fraction(3, 4)
+        assert gamma_ratio(QContext(Fraction(1, 2)), 2) == Fraction(3, 4)
 
     @given(q=q_values, n=st.integers(min_value=1, max_value=10))
     def test_telescoping(self, q, n):
         ctx = QContext(q)
-        assert ctx.gamma_ratio(n) / ctx.gamma_ratio(n - 1) == ctx.qnumber(n) / n
+        assert gamma_ratio(ctx, n) / gamma_ratio(ctx, n - 1) == ctx.qnumber(n) / n
 
 
 def stirling_recurrence_oracle(n, k, cache={}):
@@ -167,11 +169,12 @@ class TestStirling:
         code = (
             "import sys; sys.path.insert(0, %r); sys.setrecursionlimit(200)\n"
             "from math import factorial\n"
-            "from qdeform.poly import Poly\n"
+            "from qdeform.poly import FallingFactorial, Poly\n"
             "from qdeform.qnum import stirling_first, stirling_second\n"
             "print(stirling_first(400, 1) == (-1) ** 399 * factorial(399))\n"
             "print(stirling_second(400, 2) == 2 ** 399 - 1)\n"
-            "print(Poly.falling_element(401, 1).to_monomial().coefficient(1) == factorial(400))\n"
+            "falling = Poly([0] * 401 + [1], FallingFactorial(1))\n"
+            "print(falling.to_monomial().coefficient(1) == factorial(400))\n"
         ) % src
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -201,7 +204,7 @@ def table_faults(pairs, oracle, top=TABLE_N):
 
 def table_oracles(q):
     """Each pair table of QContext(q) with its closed form: {n} directly,
-    [[n]] = n/{n}, q^n, and u(n) = {1}...{n}/n!."""
+    [[n]] = n/{n}, and u(n) = {1}...{n}/n!."""
     ctx = QContext(q)
     return {
         "qnumber": (ctx.qnumber_pairs(TABLE_N), lambda n: qnumber_oracle(q, n)),
@@ -209,7 +212,6 @@ def table_oracles(q):
             ctx.dbracket_pairs(TABLE_N),
             lambda n: Fraction(n) / qnumber_oracle(q, n) if n else Fraction(1),
         ),
-        "qpower": (ctx.qpower_pairs(TABLE_N), lambda n: q**n),
         "gamma_ratio": (
             ctx.gamma_ratio_pairs(TABLE_N),
             lambda n: math.prod(qnumber_oracle(q, k) for k in range(1, n + 1)) / factorial(n),
@@ -233,7 +235,6 @@ class TestPairTables:
         for n in range(TABLE_N + 1):
             assert ctx.qnumber(n) == Fraction(*ctx.qnumber_pairs(n)[n])
             assert ctx.dbracket(n) == Fraction(*ctx.dbracket_pairs(n)[n])
-            assert ctx.gamma_ratio(n) == Fraction(*ctx.gamma_ratio_pairs(n)[n])
 
     def test_a_perturbed_pair_is_caught(self):
         # negative control: a wrong value, a pair not in lowest terms and a
@@ -265,14 +266,14 @@ class TestQContext:
 
     def test_index_bound_enforced(self):
         ctx = QContext(Fraction(1, 2))
-        for method in (ctx.qnumber, ctx.dbracket, ctx.qfactorial, ctx.gamma_ratio):
+        for method in (ctx.qnumber, ctx.dbracket, ctx.dbracket_factorial):
             with pytest.raises(ValueError):
                 method(-1)
 
     def test_tables_grow_on_demand(self):
         ctx = QContext(Fraction(1, 2))
         assert ctx.qnumber(100) == qnumber_oracle(Fraction(1, 2), 100)
-        assert ctx.qfactorial(70) == ctx.qfactorial(69) * ctx.qnumber(70)
+        assert ctx.dbracket_factorial(70) == ctx.dbracket_factorial(69) * ctx.dbracket(70)
         assert ctx.dbracket_factorial(3) == 1 * Fraction(4, 3) * Fraction(12, 7)
 
     def test_dbracket_is_tabulated(self):
@@ -296,18 +297,21 @@ class TestQContext:
 
         q = Fraction(9, 10)
         ctx = QContext(q)
+        u = [Fraction(1)]  # u(n) = {1}...{n}/n!
+        for n in range(1, 150):
+            u.append(u[-1] * qnumber_oracle(q, n) / n)
         # diagonals on the shared context, each grown by the workers' first use
         diags = (
             (dbracket_diag(ctx, 1), lambda n: Fraction(n + 1) / qnumber_oracle(q, n + 1)),
             (DiagInv(qnum_diag(ctx, 1)), lambda n: 1 / qnumber_oracle(q, n + 1)),
-            (gamma_ratio_diag(ctx), lambda n: ctx.qfactorial(n) / factorial(n)),
+            (gamma_ratio_diag(ctx), u.__getitem__),
         )
         bad = []
 
         def worker(offset):
             for n in range(offset, 150, 4):
-                if ctx.qnumber(n) != qnumber_oracle(q, n) or ctx.qfactorial(n) != (
-                    ctx.qfactorial(n - 1) * qnumber_oracle(q, n) if n else 1
+                if ctx.qnumber(n) != qnumber_oracle(q, n) or ctx.dbracket_factorial(n) != (
+                    ctx.dbracket_factorial(n - 1) * n / qnumber_oracle(q, n) if n else 1
                 ):
                     bad.append(n)
                 for diag, value in diags:
@@ -338,7 +342,7 @@ class TestQContext:
     def test_everything_is_exact(self):
         ctx = QContext(Fraction(9, 10))
         for n in range(17):
-            for v in (ctx.qnumber(n), ctx.dbracket(n), ctx.qfactorial(n)):
+            for v in (ctx.qnumber(n), ctx.dbracket(n), ctx.dbracket_factorial(n)):
                 assert isinstance(v, Fraction)
 
 

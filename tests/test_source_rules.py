@@ -115,3 +115,87 @@ def test_heavy_module_rule_sees_a_module_level_import(tmp_path, module):
     verify = package / "verify.py"
     verify.write_text(verify.read_text() + "\nimport %s\n" % module)
     assert module.split(".")[0] in _heavy_modules_loaded(str(tmp_path))
+
+
+# Public methods that nothing in the package reads as an attribute, each
+# kept for the reason given.
+KEPT_METHODS = {
+    "Poly.shift": "perfbench/tracing.py times it as poly.shift, and test_bench_contract.py needs it there",
+    "Poly.to_falling": "perfbench/tracing.py times it as poly.to_falling, like Poly.shift",
+    "Poly.qscale": "p(qx), the q-dilation beside shift; the Jackson derivative is its difference quotient",
+    "Poly.evaluate": "p(x0), the value at a rational point; Poly.__call__ is this method",
+    "Poly.from_json": "reads the documented polynomial wire format that to_json writes",
+}
+
+
+def _unused_public_names(package: Path) -> list:
+    """The public top-level functions and classes of the package that
+    __init__.py does not import and that no code in the package names
+    outside their own definition, as "module.name"; then the public
+    methods outside KEPT_METHODS that no code in the package reads as an
+    attribute outside their own definition, as "module.Class.method".
+    References are matched by name alone; an import is not a reference."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.glob("*.py"))}
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    names, attrs = [], []  # (module, line, name) of each reference
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                attrs.append((module, node.lineno, node.attr))
+
+    def used(refs, module, node):
+        return any(
+            name == node.name and (m != module or not node.lineno <= line <= node.end_lineno)
+            for m, line, name in refs
+        )
+
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in exported and not used(names + attrs, module, node):
+                unused.append("%s.%s" % (module, node.name))
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item in methods:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                    continue
+                method = "%s.%s" % (node.name, item.name)
+                if method not in KEPT_METHODS and not used(attrs, module, item):
+                    unused.append("%s.%s" % (module, method))
+    return unused
+
+
+def test_every_public_name_is_exported_or_used():
+    assert _unused_public_names(SOURCES[0].parent) == []
+
+
+def test_kept_methods_exist():
+    defined = {
+        "%s.%s" % (node.name, item.name)
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    }
+    assert sorted(set(KEPT_METHODS) - defined) == []
+
+
+def test_unused_name_rule_sees_an_unused_function_and_method(tmp_path):
+    package = tmp_path / "qdeform"
+    shutil.copytree(SOURCES[0].parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    qnum = package / "qnum.py"
+    source = qnum.read_text()
+    anchor = "    def __repr__(self):\n        return \"QContext(q=%s)\" % self.q\n"
+    assert source.count(anchor) == 1
+    source = source.replace(anchor, anchor + "\n    def spare_method(self):\n        return self.q\n")
+    qnum.write_text(source + "\n\ndef spare_function():\n    return QContext(0)\n")
+    assert sorted(_unused_public_names(package)) == ["qnum.QContext.spare_method", "qnum.spare_function"]

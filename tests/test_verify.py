@@ -71,7 +71,7 @@ NEGATIVE_CONTROLS = {
     "rolle": (maps, "quantum_average", _off_q(1)),
     # any word G intertwines under a true projection; one off by |0> must not
     "intertwine": (maps, "b_projection", lambda orig: lambda f, m, D: orig(f + Poly.one(), m, D)),
-    "similarity": (maps, "u_expr", _off_q(0)),
+    "similarity": (maps, "gamma_ratio_diag", _off_q(0)),
     "qcc-delta": (maps, "phi_q_prime", _off_q(0)),
     "composition": (
         verify,
