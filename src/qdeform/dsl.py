@@ -27,6 +27,7 @@ monomial; printing a parse is idempotent on the text.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, SemanticError, SingularOperatorError
@@ -84,45 +85,31 @@ def _describe(kind: str) -> str:
     return "'%s'" % kind
 
 
+# One alternative per token kind, tried in order; any other character is
+# an error. Whitespace is ASCII only, as str.isspace() has it.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r\x0b\x0c\x1c-\x1f]+)|(?P<num>[0-9]+)"
+    r"|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^/()])|(?P<other>.)",
+    re.ASCII | re.DOTALL,
+)
+
+
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isascii() and ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isascii() and ch.isdigit():
-            start = i
-            startcol = col
-            while i < n and text[i].isascii() and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("num", int(text[start:i]), line, startcol))
-            continue
-        if (ch.isascii() and ch.isalpha()) or ch == "_":
-            start = i
-            startcol = col
-            while i < n and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("name", text[start:i], line, startcol))
-            continue
-        if ch in "+-*^/()":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("end", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "num":
+            tokens.append(Token("num", int(value), line, col))
+        elif kind == "name":
+            tokens.append(Token("name", value, line, col))
+        elif kind == "op":
+            tokens.append(Token(value, value, line, col))
+        elif kind == "other":
+            raise ParseError("unexpected character %r" % value, line, col)
+    tokens.append(Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 

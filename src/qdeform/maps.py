@@ -37,7 +37,9 @@ once, on degrees 0..``CHECK_DEGREE``, when first built, and its
 adapted-basis cache is shared with every later caller. The memo is a small
 LRU; two threads building the same key get the same map, and no thread
 sees a partly built one. ``fb_map`` (a user callable has no structural key)
-and ``DeformMap(...)`` itself always build a fresh map.
+and ``DeformMap(...)`` itself always build a fresh map. The key names the
+map: ``to_json`` writes it, ``map_from_json`` reads it back to the shared
+map, and a fresh map, or a composition with one, has no wire form.
 
 Maps are ``qnum.Record`` values that compare by identity: assigning or
 deleting any attribute raises AttributeError, and the memo key is not a
@@ -84,7 +86,7 @@ from .opcore import (
     working_degree,
 )
 from .poly import MONOMIAL, Poly
-from .qnum import QContext, Record, rational
+from .qnum import QContext, Record, rational, wire_field
 
 CHECK_DEGREE = 16
 
@@ -150,19 +152,15 @@ class DeformMap(Record):
     # Never set by a caller: preserves_degree (by _validate, from the certified
     # basis), _key (by _shared, on the one instance of a named map), and |n>
     # and x^k in the adapted basis (_basis, _dual_rows, grown under _basis_lock).
-    __slots__ = ("kind", "label", "image_a", "image_b", "q", "delta", "relation_q", "outer",
-                 "inner", "preserves_degree", "_key", "_basis", "_dual_rows", "_basis_lock")
+    __slots__ = ("label", "image_a", "image_b", "relation_q", "preserves_degree", "_key",
+                 "_basis", "_dual_rows", "_basis_lock")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self, kind: str, label: str, image_a: OpExpr, image_b: OpExpr, *,
-        q: Fraction | None = None, delta: Fraction | None = None, relation_q=1,
-        outer: DeformMap | None = None, inner: DeformMap | None = None,
-    ):
+    def __init__(self, label: str, image_a: OpExpr, image_b: OpExpr, *, relation_q=1):
         super().__init__(
-            kind, label, image_a, image_b, q, delta, rational(relation_q), outer, inner,
+            label, image_a, image_b, rational(relation_q),
             False, None, [Poly.one()], [], threading.Lock(),
         )
         self._validate(CHECK_DEGREE)
@@ -292,21 +290,27 @@ class DeformMap(Record):
         return e.replace(name="%s@%s" % (e.name, owner.label), owner=owner)
 
     def to_json(self) -> dict:
-        if self.kind == "compose":
-            return {
-                "map": "compose",
-                "outer": self.outer.to_json(),
-                "inner": self.inner.to_json(),
-            }
-        data = {"map": self.kind}
-        if self.q is not None:
-            data["q"] = str(self.q)
-        if self.delta is not None:
-            data["delta"] = str(self.delta)
-        return data
+        """The wire form of the memo key, which only a shared map has."""
+        if self._key is None:
+            raise ValueError("%s has no wire form: it is not a named map" % self.label)
+        return _key_json(self._key)
 
     def __repr__(self):
         return "DeformMap(%s)" % self.label
+
+
+def _key_json(key: tuple) -> dict:
+    """{"map": kind} with the parameters given for the key (kind, q, delta),
+    or the nested compose form for (outer key, inner key)."""
+    if len(key) == 2:
+        return {"map": "compose", "outer": _key_json(key[0]), "inner": _key_json(key[1])}
+    kind, q, delta = key
+    data = {"map": kind}
+    if q is not None:
+        data["q"] = str(q)
+    if delta is not None:
+        data["delta"] = str(delta)
+    return data
 
 
 # Named maps are shared: one validated instance per structural key, kept in
@@ -346,7 +350,7 @@ def _named(kind: str, q, delta, images: Callable[[], tuple], **kw) -> DeformMap:
     def build():
         param = q if delta is None else delta
         label = kind if param is None else "%s[%s]" % (kind, param)
-        return DeformMap(kind, label, *images(), q=q, delta=delta, **kw)
+        return DeformMap(label, *images(), **kw)
 
     return _shared((kind, q, delta), build)
 
@@ -355,24 +359,13 @@ def identity_map() -> DeformMap:
     return _named("identity", None, None, lambda: (DERIV, COORD))
 
 
-def fb_map(
-    name: str,
-    f: Callable[[int], Fraction],
-    *,
-    q: Fraction | None = None,
-) -> DeformMap:
+def fb_map(name: str, f: Callable[[int], Fraction]) -> DeformMap:
     """The general family a -> f(B)^(-1) a, b -> b f(B), for f nonzero on
     positive integers. The degree operator is preserved exactly, so these
     maps commute with all diagonal bookkeeping. f has no structural key, so
-    every call builds and validates a fresh map."""
+    every call builds and validates a fresh map, which has no wire form."""
     diag = DiagFn("f(B)", lambda n: f(n + 1))
-    return DeformMap(
-        "fb:" + name,
-        name,
-        op_prod(DiagInv(diag), DERIV),
-        op_prod(COORD, diag),
-        q=q,
-    )
+    return DeformMap(name, op_prod(DiagInv(diag), DERIV), op_prod(COORD, diag))
 
 
 def phi_q(q) -> DeformMap:
@@ -419,15 +412,10 @@ def compose(outer: DeformMap, inner: DeformMap) -> DeformMap:
     return _shared(
         (outer._key, inner._key) if shared else None,
         lambda: DeformMap(
-            "compose",
             "%s.%s" % (outer.label, inner.label),
             outer.image(inner.image_a),
             outer.image(inner.image_b),
-            q=outer.q if outer.q is not None else inner.q,
-            delta=outer.delta if outer.delta is not None else inner.delta,
             relation_q=inner.relation_q,
-            outer=outer,
-            inner=inner,
         ),
     )
 
@@ -457,9 +445,10 @@ def make_map(kind: str, *, q=None, delta=None) -> DeformMap:
 
 
 def map_from_json(data: dict) -> DeformMap:
-    if data["map"] == "compose":
-        return compose(map_from_json(data["outer"]), map_from_json(data["inner"]))
-    return make_map(data["map"], q=data.get("q"), delta=data.get("delta"))
+    kind = wire_field(data, "map", "map")
+    if kind == "compose":
+        return compose(*[map_from_json(wire_field(data, f, kind)) for f in ("outer", "inner")])
+    return make_map(kind, q=data.get("q"), delta=data.get("delta"))
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,13 @@ _SUM, _PROD, _POW, _ATOM = 0, 1, 2, 3
 
 
 class Op(Record):
-    """Base of the node kinds, with arithmetic sugar. Each kind defines
-    act(p, D), the exact image of p on the degree-<=D space; bounds, (net,
-    peak) as an upper bound on the total degree shift and the largest
-    intermediate raise along the action path (math.inf for exponentials of
-    raising operators); children, () for a leaf, with rebuild(children)
-    giving the same kind over new ones; and text, its canonical DSL form,
-    with binding, how tightly that text binds."""
+    """Base of the node kinds. Each kind defines act(p, D), the exact image
+    of p on the degree-<=D space; bounds, (net, peak) as an upper bound on
+    the total degree shift and the largest intermediate raise along the
+    action path (math.inf for exponentials of raising operators); children,
+    () for a leaf, with rebuild(children) giving the same kind over new
+    ones; and text, its canonical DSL form, with binding, how tightly that
+    text binds. Nodes are built by op_sum, op_prod, scaled and IntPow."""
 
     __slots__ = ()
 
@@ -84,36 +84,6 @@ class Op(Record):
 
     def __repr__(self):
         return "<%s %s>" % (type(self).__name__, self.text)
-
-    def __add__(self, other):
-        return op_sum(self, as_op(other))
-
-    def __radd__(self, other):
-        return op_sum(as_op(other), self)
-
-    def __sub__(self, other):
-        return op_sum(self, scaled(-1, as_op(other)))
-
-    def __rsub__(self, other):
-        return op_sum(as_op(other), scaled(-1, self))
-
-    def __neg__(self):
-        return scaled(-1, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scaled(other, self)
-        if isinstance(other, Op):
-            return op_prod(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scaled(other, self)
-        return NotImplemented
-
-    def __pow__(self, n):
-        return IntPow(self, n)
 
 
 class Coord(Op):
@@ -406,12 +376,6 @@ OpExpr = Op
 COORD = Coord()
 DERIV = Deriv()
 IDENT = Ident()
-
-
-def as_op(v) -> OpExpr:
-    if isinstance(v, Op):
-        return v
-    return scaled(rational(v), IDENT)
 
 
 def scaled(c, e: OpExpr) -> OpExpr:

@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .errors import BasisMismatchError, UnsupportedBasisOperationError
-from .qnum import Record, rational, stirling_first, stirling_second
+from .qnum import Record, rational, stirling_first, stirling_second, wire_field
 
 
 class Monomial(Record):
@@ -455,9 +455,12 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
-        basis = data["basis"]
+        basis = wire_field(data, "basis", "polynomial")
+        coeffs = wire_field(data, "coeffs", "polynomial")
         if basis == "monomial":
-            tag = MONOMIAL
-        else:
-            tag = FallingFactorial(rational(basis["falling"]["delta"]))
-        return cls([rational(c) for c in data["coeffs"]], tag)
+            return cls(coeffs)
+        try:
+            delta = basis["falling"]["delta"]
+        except (KeyError, TypeError):
+            raise ValueError("unknown polynomial basis %r" % (basis,)) from None
+        return cls(coeffs, FallingFactorial(delta))

@@ -42,6 +42,13 @@ def rational(value) -> Fraction:
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
+def wire_field(data: dict, name: str, what: str):
+    """data[name] of a wire-format object; a missing field is a ValueError."""
+    if name not in data:
+        raise ValueError("%s wire data has no %r field" % (what, name))
+    return data[name]
+
+
 class Record:
     """Immutable value whose fields are its ``__slots__``, given in order to
     the constructor; a subclass with defaults or checks has its own

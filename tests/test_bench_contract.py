@@ -46,7 +46,7 @@ def map_key_label():
     """The label tracing's map key binds by name on DeformMap.__init__ for a
     construction as the named maps make it; maps.distinct counts these."""
     key = tracing.Tracer()._map_key(maps.DeformMap.__init__)
-    return key((None, "phi_q", "phi_q[1/2]", "a", "b"), {"q": "1/2"})[0]
+    return key((None, "phi_q[1/2]", "a", "b"), {})[0]
 
 
 def test_map_key_binds_the_label():
@@ -55,7 +55,7 @@ def test_map_key_binds_the_label():
 
 def test_constructor_without_label_is_reported(monkeypatch):
     class NoLabel:
-        def __init__(self, kind, name, image_a, image_b, *, q=None):
+        def __init__(self, name, image_a, image_b, *, relation_q=1):
             pass
 
     monkeypatch.setattr(maps, "DeformMap", NoLabel)

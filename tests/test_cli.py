@@ -77,6 +77,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "apply", "x", "poly(x^2)", "--degree", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["apply", "poly(x)", "x"], 2, "first argument must be an operator expression"),
+        (["realize", "poly(x)"], 2, "argument must be an operator expression"),
+        (["basis", "phi_delta", "5", "--delta", "1", "--degree", "3"], 3, "basis element 4 exceeds degree 3"),
+        (["project", "phi_q", "x^5", "--q", "1/2", "--degree", "3"], 2, "series degree 5 exceeds truncation 3"),
+    ])
+    def test_rejected_arguments(self, capsys, argv, code, message):
+        assert run(capsys, *argv) == (code, "", "error: %s\n" % message)
+
 
 class TestPolyArgumentPositions:
     # the DSL reads a polynomial argument as given, bare or wrapped, so an

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeform.dsl import MAX_NESTING, parse, pretty
+from qdeform.dsl import MAX_NESTING, _tokenize, parse, pretty
 from qdeform.errors import DslError, MathError, ParseError, SemanticError
 from qdeform.maps import dq_expr, s_expr, xq_expr
 from qdeform.opcore import (
@@ -300,6 +300,50 @@ class TestFuzz:
             parse(text, q=Q, delta=DELTA)
         except DslError:
             pass
+
+
+# The DSL's own characters, every ASCII whitespace character, and a few
+# characters the scanner must reject.
+_DSL_CHARS = "xdABSUMqbinvexpolyDelta_0123456789+-*^/()"
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_REJECTED = "é٣%\x00"
+
+
+def _line_col(text, i):
+    """The 1-based line:col of offset i in text."""
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+
+
+class TestScanner:
+    @given(text=st.text(alphabet=_DSL_CHARS + _ASCII_SPACE + _REJECTED, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_point_at_their_text(self, text):
+        bad = next((i for i, c in enumerate(text) if c in _REJECTED), None)
+        if bad is not None:
+            with pytest.raises(ParseError) as err:
+                _tokenize(text)
+            assert (err.value.line, err.value.col) == _line_col(text, bad)
+            assert str(err.value).endswith("unexpected character %r" % text[bad])
+            return
+        offsets = {_line_col(text, i): i for i in range(len(text))}
+        *tokens, end = _tokenize(text)
+        covered = set()
+        for tok in tokens:
+            start = offsets[(tok.line, tok.col)]
+            if tok.kind == "num":
+                run = re.match(r"[0-9]+", text[start:]).group()
+                assert int(run) == tok.value
+            elif tok.kind == "name":
+                run = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[start:]).group()
+                assert tok.value == run
+            else:
+                run = tok.value
+                assert tok.kind == run and text[start] == run
+            assert covered.isdisjoint(range(start, start + len(run)))
+            covered.update(range(start, start + len(run)))
+        assert all(text[i] in _ASCII_SPACE for i in range(len(text)) if i not in covered)
+        assert (end.kind, end.value) == ("end", None)
+        assert (end.line, end.col) == _line_col(text, len(text))
 
 
 # One shape per kind of nesting, each `levels` deep along one path.

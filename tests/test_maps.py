@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -115,9 +116,9 @@ class TestConstruction:
 
     def test_bad_images_rejected(self):
         with pytest.raises(MapConstructionError, match="raising image failed to raise degree at step 1$"):
-            DeformMap("broken", "broken", DERIV, op_prod(COORD, COORD))
+            DeformMap("broken", DERIV, op_prod(COORD, COORD))
         with pytest.raises(MapConstructionError, match=r"lowering law fails on basis element 1: a\|1> is 2, not 1$"):
-            DeformMap("broken", "broken", scaled(2, DERIV), COORD)
+            DeformMap("broken", scaled(2, DERIV), COORD)
 
     @pytest.mark.parametrize("j, element", [(10, 11), (CHECK_DEGREE, CHECK_DEGREE + 1)])
     def test_step_inside_the_window_rejected(self, j, element):
@@ -125,19 +126,19 @@ class TestConstruction:
         e = element
         msg = r"lowering law fails on basis element %d: a\|%d> is %d\*x\^%d, not %d\*x\^%d$" % (e, e, 2 * e, e - 1, e, e - 1)
         with pytest.raises(MapConstructionError, match=msg):
-            DeformMap("step", "step", DERIV, step_raising(j))
+            DeformMap("step", DERIV, step_raising(j))
 
     def test_step_past_the_window_accepted(self):
         # the certified window is degrees 0..CHECK_DEGREE; the step breaks
         # the relation only on the degree just past it
-        m = DeformMap("step", "step", DERIV, step_raising(CHECK_DEGREE + 1))
+        m = DeformMap("step", DERIV, step_raising(CHECK_DEGREE + 1))
         assert commutator(m.image_a, m.image_b, CHECK_DEGREE).is_identity()
         assert not commutator(m.image_a, m.image_b, CHECK_DEGREE + 1).is_identity()
 
     def test_counit_violation_rejected(self):
         # a -> a + 1 fails to annihilate constants but keeps the CCR
         with pytest.raises(MapConstructionError, match="lowering image does not annihilate constants$"):
-            DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
+            DeformMap("broken", op_sum(DERIV, IDENT), COORD)
 
     def test_lowering_law_failure_names_both_values(self):
         # with w = 1/2, a|2> must be {2}_w |1> = 3/2 x, but d x^2 = 2 x
@@ -145,23 +146,23 @@ class TestConstruction:
             MapConstructionError,
             match=r"^t: lowering law fails on basis element 2: a\|2> is 2\*x, not 3/2\*x$",
         ):
-            DeformMap("t", "t", DERIV, COORD, relation_q=Fraction(1, 2))
+            DeformMap("t", DERIV, COORD, relation_q=Fraction(1, 2))
 
     @pytest.mark.parametrize("j, element", [(10, 11), (CHECK_DEGREE, CHECK_DEGREE + 1)])
     def test_weighted_step_inside_the_window_rejected(self, j, element):
         with pytest.raises(MapConstructionError, match=r"^w: lowering law fails on basis element %d: " % element):
-            DeformMap("w", "w", DERIV, weighted_step_raising(j), relation_q=Fraction(1, 2))
+            DeformMap("w", DERIV, weighted_step_raising(j), relation_q=Fraction(1, 2))
 
     def test_weighted_step_past_the_window_accepted(self):
         half = Fraction(1, 2)
-        m = DeformMap("w", "w", DERIV, weighted_step_raising(CHECK_DEGREE + 1), relation_q=half)
+        m = DeformMap("w", DERIV, weighted_step_raising(CHECK_DEGREE + 1), relation_q=half)
         assert q_commutator(m.image_a, m.image_b, half, CHECK_DEGREE).is_identity()
         assert not q_commutator(m.image_a, m.image_b, half, CHECK_DEGREE + 1).is_identity()
 
     def test_wrong_weight_rejected(self):
         # the pair closes the relation at w = 1/2: a|2> = {2}_(1/2) |1>, not {2}_(1/3) |1>
         with pytest.raises(MapConstructionError, match=r"^w: lowering law fails on basis element 2: a\|2> is 3/2\*x, not 4/3\*x$"):
-            DeformMap("w", "w", DERIV, weighted_step_raising(100), relation_q=Fraction(1, 3))
+            DeformMap("w", DERIV, weighted_step_raising(100), relation_q=Fraction(1, 3))
 
     def test_ccr_maps_are_certified_through_their_basis(self, monkeypatch, fresh_memo):
         # no construction realizes a commutator: every map, the q-weighted
@@ -180,7 +181,7 @@ class TestConstruction:
             phi_q_prime(q),
         ]
         with pytest.raises(MapConstructionError, match="does not annihilate constants$"):
-            DeformMap("broken", "broken", op_sum(DERIV, IDENT), COORD)
+            DeformMap("broken", op_sum(DERIV, IDENT), COORD)
         assert calls == []
         assert [len(m._basis) for m in built] == [CHECK_DEGREE + 2] * 4 + [1]
         # the non-CCR map keeps only |0>; its basis stays closed to callers
@@ -212,22 +213,22 @@ class TestPreservesDegree:
 
     def test_flag_is_not_a_constructor_parameter(self):
         with pytest.raises(TypeError):
-            DeformMap("pd", "pd", DERIV, COORD, preserves_degree=False)
-        m = DeformMap("id", "id", DERIV, COORD)
+            DeformMap("pd", DERIV, COORD, preserves_degree=False)
+        m = DeformMap("id", DERIV, COORD)
         with pytest.raises(AttributeError):
             m.preserves_degree = False
 
     def test_direct_identity_images_carry_a_unchanged(self):
         from qdeform.dsl import pretty
 
-        m = DeformMap("id", "id", DERIV, COORD)
+        m = DeformMap("id", DERIV, COORD)
         assert m.image(A_DIAG) is A_DIAG
         assert pretty(m.image(op_prod(A_DIAG, DERIV))) == "A*d"
 
     def test_direct_shift_images_intertwine_a(self):
         # the shift images do not preserve the degree, so A moves into
         # their adapted basis and still intertwines
-        m = DeformMap("pd", "pd", a_delta_expr(1), b_delta_expr(1), delta=1)
+        m = DeformMap("pd", a_delta_expr(1), b_delta_expr(1))
         assert not m.preserves_degree
         assert intertwine_check(A_DIAG, Poly([1, 2, 3]), m, 6)
         assert intertwine_check(A_DIAG, Poly([1, 2, 3]), phi_delta(1), 6)
@@ -629,7 +630,7 @@ class TestEigenfunctionSeries:
 
     def test_family_contains_jackson(self):
         ctx = ctx_for(Fraction(1, 2))
-        m = fb_map("jackson", ctx.dbracket, q=ctx.q)
+        m = fb_map("jackson", ctx.dbracket)
         assert realize_exact(m.image_a, 10) == realize_exact(dq_expr(ctx), 10)
         assert realize_exact(m.image_b, 10) == realize_exact(xq_expr(ctx), 10)
         assert eigenfunction_series(ctx.dbracket, 10) == q_exponential(ctx, 1, 10)
@@ -649,13 +650,46 @@ class TestSerialization:
         assert realize_exact(again.image_b, 8) == realize_exact(m.image_b, 8)
 
     def test_make_map_names(self):
-        assert make_map("identity").kind == "identity"
-        assert make_map("phi_q", q=Fraction(1, 2)).q == Fraction(1, 2)
-        assert make_map("phi_delta_q", q=Fraction(1, 3), delta=1).kind == "compose"
+        assert make_map("identity").to_json() == {"map": "identity"}
+        assert make_map("phi_q", q=Fraction(1, 2)).to_json() == {"map": "phi_q", "q": "1/2"}
+        assert make_map("phi_delta_q", q=Fraction(1, 3), delta=1).to_json()["map"] == "compose"
         with pytest.raises(ValueError):
             make_map("phi_q")
         with pytest.raises(ValueError):
             make_map("nonsense", q=1)
+
+    @pytest.mark.parametrize("kind", list(MAP_KINDS))
+    def test_every_named_kind_round_trips_to_itself(self, kind):
+        given = {"q": Fraction(2, 3), "delta": Fraction(1, 4)}
+        m = make_map(kind, **{p: given[p] for p in MAP_KINDS[kind][0]})
+        assert map_from_json(m.to_json()) is m
+
+    def test_unnamed_maps_have_no_wire_form(self):
+        f = lambda n: Fraction(n + 1)
+        half = Fraction(1, 2)
+        direct = DeformMap("direct", DERIV, COORD)
+        # a direct map with a named map's label and the Jackson images of
+        # another q is still no named map
+        fake = DeformMap("phi_q", dq_expr(ctx_for(Fraction(1, 3))), xq_expr(ctx_for(Fraction(1, 3))))
+        for m, label in (
+            (fb_map("f", f), "f"),
+            (direct, "direct"),
+            (fake, "phi_q"),
+            (compose(phi_q(half), direct), "phi_q[1/2].direct"),
+            (compose(fb_map("f", f), phi_delta(half)), "f.phi_delta[1/2]"),
+        ):
+            with pytest.raises(ValueError, match="^%s has no wire form" % re.escape(label)):
+                m.to_json()
+
+    @pytest.mark.parametrize("data, field", [
+        ({}, "map"),
+        ({"map": "compose", "outer": {"map": "identity"}}, "inner"),
+        ({"map": "compose", "inner": {"map": "identity"}}, "outer"),
+        ({"map": "compose", "outer": {"map": "identity"}, "inner": {"q": "1/2"}}, "map"),
+    ])
+    def test_missing_wire_field_is_named(self, data, field):
+        with pytest.raises(ValueError, match="wire data has no '%s' field$" % field):
+            map_from_json(data)
 
 
 class TestConcurrency:
@@ -691,8 +725,8 @@ class TestConcurrency:
 class TestSharedMaps:
     def test_public_attributes_are_read_only(self):
         m = phi_q(Fraction(1, 2))
-        for name, value in (("q", Fraction(1, 3)), ("label", "x"), ("image_a", DERIV),
-                            ("kind", "phi_delta"), ("outer", None)):
+        for name, value in (("relation_q", Fraction(1, 3)), ("label", "x"), ("image_a", DERIV),
+                            ("preserves_degree", False), ("_basis", [])):
             with pytest.raises(AttributeError):
                 setattr(m, name, value)
         with pytest.raises(AttributeError):
@@ -701,10 +735,10 @@ class TestSharedMaps:
             m.extra = 1
         with pytest.raises(AttributeError):
             del m._key
-        assert m.q == Fraction(1, 2) and m.label == "phi_q[1/2]"
+        assert m.relation_q == 1 and m.label == "phi_q[1/2]"
 
     def test_maps_compare_by_identity(self):
-        a, b = (DeformMap("id", "id", DERIV, COORD) for _ in range(2))
+        a, b = (DeformMap("id", DERIV, COORD) for _ in range(2))
         assert a == a and a != b and hash(a) != hash(b)
         assert len({a, b, a}) == 2
 
@@ -722,7 +756,7 @@ class TestSharedMaps:
     def test_unkeyed_maps_are_fresh(self):
         f = lambda n: Fraction(n + 1)
         assert fb_map("f", f) is not fb_map("f", f)
-        direct = DeformMap("identity", "identity", DERIV, COORD)
+        direct = DeformMap("identity", DERIV, COORD)
         assert direct is not identity_map()
         assert compose(phi_q(Fraction(1, 2)), direct) is not compose(phi_q(Fraction(1, 2)), direct)
 
@@ -806,7 +840,7 @@ class TestMapKinds:
     def test_each_missing_parameter_is_named(self, kind):
         given = {"q": Fraction(1, 2), "delta": Fraction(1, 3)}
         needs = self.NEEDS[kind]
-        assert make_map(kind, **{p: given[p] for p in needs}).kind in (kind, "compose")
+        assert make_map(kind, **{p: given[p] for p in needs}).to_json()["map"] in (kind, "compose")
         for left_out in needs:
             with pytest.raises(ValueError) as err:
                 make_map(kind, **{p: given[p] for p in needs if p != left_out})

@@ -125,15 +125,16 @@ class TestApply:
     @settings(max_examples=50)
     def test_linearity(self, p, r, a, b):
         ctx = ctx_for(Fraction(1, 3))
-        e = op_prod(dbracket_diag(ctx, 1), DERIV) + scaled(2, COORD)
+        e = op_sum(op_prod(dbracket_diag(ctx, 1), DERIV), scaled(2, COORD))
         D = max(p.degree, r.degree, 0) + 2
         combined = apply(e, p.scale(a) + r.scale(b), D)
         assert combined == apply(e, p, D).scale(a) + apply(e, r, D).scale(b)
 
-    def test_sugar_matches_nodes(self):
-        e1 = COORD * DERIV + 2 * IDENT - COORD**2
-        e2 = op_prod(COORD, DERIV) + scaled(2, IDENT) + scaled(-1, IntPow(COORD, 2))
-        assert realize_exact(e1, 6) == realize_exact(e2, 6)
+    def test_nodes_have_no_arithmetic_operators(self):
+        # expressions are built by op_sum, op_prod, scaled and IntPow only
+        for build in (lambda: COORD + DERIV, lambda: 2 * COORD, lambda: -DERIV, lambda: COORD**2):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestExpTermination:
@@ -480,6 +481,11 @@ class TestLinOp:
         assert all((a - b).is_zero for a, b in zip(lin.columns, diag.columns))
         assert lin != LinOp.from_diagonal(3, [0, 1, 2, 4])
 
+    def test_column_past_the_space_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            LinOp(2, [Poly.monomial(3)] * 3)
+        assert str(err.value) == "column outside the degree-2 monomial space"
+
 
 class TestCommutators:
     def test_heisenberg(self):
@@ -518,6 +524,13 @@ class TestCommutators:
         # [d, x^3] = 3x^2 has band +2: at D=1 every column overflows
         with pytest.raises(EmptyWindowError):
             commutator(DERIV, IntPow(COORD, 3), 1)
+
+    def test_unbounded_degree_growth_is_refused(self):
+        # exp(x) raises the degree without bound, so no working degree exists
+        for realized in (lambda: realize_exact(ExpOp(COORD), 3), lambda: commutator(ExpOp(COORD), DERIV, 3)):
+            with pytest.raises(NonterminatingExponentialError) as err:
+                realized()
+            assert str(err.value) == "cannot bound the degree growth of this operator"
 
 
 def reference_q_commutator(e1, e2, w, D):
@@ -664,7 +677,7 @@ def shifted_map():
     """The CCR pair (d, x - 1), whose adapted basis is (x - 1)^n."""
     from qdeform.maps import DeformMap
 
-    return DeformMap("shifted", "shifted", DERIV, op_sum(COORD, scaled(-1, IDENT)))
+    return DeformMap("shifted", DERIV, op_sum(COORD, scaled(-1, IDENT)))
 
 
 class TestBasisDiag:
@@ -742,7 +755,7 @@ class TestBasisDiag:
         assert not any(t.is_alive() for t in threads) and not errors
         assert all([r[n] for n in range(14)] == expected for r in results)
         # the rows one thread builds on an unshared copy of the map
-        alone = fresh_memo.DeformMap("copy", "copy", m.image_a, m.image_b)
+        alone = fresh_memo.DeformMap("copy", m.image_a, m.image_b)
         alone.components(Poly.monomial(13))
         assert m._dual_rows == alone._dual_rows
 

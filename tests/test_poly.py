@@ -196,6 +196,17 @@ class TestTextAndJson:
         assert data["basis"] == {"falling": {"delta": "1/2"}}
         assert Poly.from_json(data) == p
 
+    @pytest.mark.parametrize("data, message", [
+        ({"basis": "monomial"}, "polynomial wire data has no 'coeffs' field"),
+        ({"coeffs": []}, "polynomial wire data has no 'basis' field"),
+        ({"basis": "weird", "coeffs": []}, "unknown polynomial basis 'weird'"),
+        ({"basis": {"falling": {}}, "coeffs": []}, "unknown polynomial basis {'falling': {}}"),
+    ])
+    def test_malformed_json_names_the_field(self, data, message):
+        with pytest.raises(ValueError) as err:
+            Poly.from_json(data)
+        assert str(err.value) == message
+
 
 # ---------------------------------------------------------------------------
 # Kernel oracles: the integer kernels against a per-coefficient Fraction

@@ -8,7 +8,7 @@ import pytest
 
 from qdeform import hahn, maps, verify
 from qdeform.cli import main
-from qdeform.errors import EmptyWindowError
+from qdeform.errors import EmptyWindowError, MapConstructionError
 from qdeform.opcore import COORD, DERIV, IntPow, op_prod
 from qdeform.poly import Poly
 from qdeform.qnum import QContext
@@ -240,6 +240,27 @@ def test_first_raising_suite_propagates(capsys, monkeypatch, forks, first, later
     assert _no_child_left()
     assert _serially(main, argv) == 3
     assert capsys.readouterr() == ("", "error: no window in %s\n" % first)
+
+
+def test_failed_prebuild_falls_back_to_the_serial_loop(monkeypatch, forks):
+    # the shared maps are built before any fork; when that raises, the
+    # suites run here, one after another, and the first of them builds the
+    # shift map again and raises as the serial loop does
+    calls = []
+
+    def no_shift_map(delta):
+        calls.append(delta)
+        raise MapConstructionError("no shift map at %s" % delta)
+
+    monkeypatch.setattr(verify, "phi_delta", no_shift_map)
+    ctx, delta = QContext(Fraction(1, 2)), Fraction(1)
+    with pytest.raises(MapConstructionError) as here:
+        run_suite("all", ctx, delta, 8)
+    assert forks == [] and _no_child_left()
+    assert len(calls) == 2  # the prebuild, then the ccr suite
+    with pytest.raises(MapConstructionError) as serial:
+        _serially(run_suite, "all", ctx, delta, 8)
+    assert str(here.value) == str(serial.value) == "no shift map at 1"
 
 
 def test_workers_are_killed_when_the_parent_raises(monkeypatch, forks):
