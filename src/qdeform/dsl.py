@@ -18,7 +18,10 @@ noncommutative operator product and is left-associative. ``qb``/``qn``/
 ``inv`` demand a diagonal argument, checked while parsing so errors carry
 positions ("line:col: message"). ``poly(...)`` admits only x and rationals
 and is only legal as the entire input; ``parse_poly`` reads such a literal
-with or without the ``poly(...)`` around it.
+with or without the ``poly(...)`` around it. The canonical literal that
+``Poly.to_text`` prints ("-1/2*x^3+x-3") is read straight into a ``Poly``
+without tokens or an AST; any other text goes through the parser, with
+the same results and errors.
 
 ``pretty`` prints an expression through its nodes' own canonical text
 (see ``opcore.Op``), a form whose reparse acts identically on every
@@ -27,6 +30,7 @@ monomial; printing a parse is idempotent on the text.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -113,13 +117,19 @@ def _tokenize(text: str):
     return tokens
 
 
+def _bind(q, delta):
+    """q as a QContext or rational and delta as a rational, each None when
+    absent."""
+    q = q if q is None or isinstance(q, QContext) else rational(q)
+    return q, rational(delta) if delta is not None else None
+
+
 class _Parser:
     def __init__(self, text: str, q, delta):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.deepest = 0  # deepest level reached in the current power's primary
-        self._q = q if q is None or isinstance(q, QContext) else rational(q)
-        self._delta = rational(delta) if delta is not None else None
+        self._q, self._delta = _bind(q, delta)
 
     # -- token plumbing -------------------------------------------------
 
@@ -322,8 +332,51 @@ def parse(text: str, *, q=None, delta=None):
 def parse_poly(text: str, *, q=None, delta=None) -> Poly:
     """Parse a polynomial literal, bare ("x^2-1") or wrapped in poly(...);
     q, delta and the errors are as in parse, with positions in text as
-    given."""
-    return _Parser(text, q, delta).parse_input(True)
+    given. The canonical form (see _read_literal) is read directly, and
+    any other text by the parser."""
+    p = _read_literal(text)
+    if p is None:
+        return _Parser(text, q, delta).parse_input(True)
+    _bind(q, delta)  # the parser's errors for malformed parameters
+    return p
+
+
+# A term of the canonical literal that Poly.to_text prints, signed: c, c*x,
+# c*x^k, x or x^k, for c = n or n/m in ASCII digits and k of at most four.
+_LITERAL_TERM = re.compile(
+    r"([-+]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*(x)(?:\^([0-9]{1,4}))?)?|(x)(?:\^([0-9]{1,4}))?)"
+)
+
+
+def _read_literal(text: str) -> Poly | None:
+    """The polynomial of a canonical literal, with no whitespace, optionally
+    wrapped in poly(...): a first term unsigned or with "-", later terms
+    with "+" or "-", terms of one degree summed. None for any other text,
+    which includes every text the parser rejects."""
+    body = text[5:-1] if text.startswith("poly(") and text.endswith(")") else text
+    if not body:
+        return None
+    terms, pos = [], 0
+    while pos < len(body):
+        m = _LITERAL_TERM.match(body, pos)
+        if m is None:
+            return None
+        sign, num, den, cx, ck, x, xk = m.groups()
+        if (sign == "+") if not pos else not sign:
+            return None
+        a = int(num) if num else 1
+        b = int(den) if den else 1
+        if not b:
+            return None
+        k = ck or xk
+        degree = int(k) if k else 1 if cx or x else 0
+        terms.append((degree, -a if sign == "-" else a, b))
+        pos = m.end()
+    den = math.lcm(*[b for _, _, b in terms])
+    out = [0] * (max([k for k, _, _ in terms]) + 1)
+    for k, a, b in terms:
+        out[k] += a * (den // b)
+    return Poly._make(out, den)
 
 
 # ---------------------------------------------------------------------------

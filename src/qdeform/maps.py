@@ -445,10 +445,22 @@ def make_map(kind: str, *, q=None, delta=None) -> DeformMap:
 
 
 def map_from_json(data: dict) -> DeformMap:
-    kind = wire_field(data, "map", "map")
+    kind = wire_field(data, "map", "map", _wire_name)
     if kind == "compose":
         return compose(*[map_from_json(wire_field(data, f, kind)) for f in ("outer", "inner")])
-    return make_map(kind, q=data.get("q"), delta=data.get("delta"))
+    q, delta = (wire_field(data, f, kind, _wire_parameter) if f in data else None for f in ("q", "delta"))
+    return make_map(kind, q=q, delta=delta)
+
+
+def _wire_name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("a map kind is a string")
+    return value
+
+
+def _wire_parameter(value):
+    """A wire-format q or delta: an int or "p/q" string, or null for none."""
+    return None if value is None else rational(value)
 
 
 # ---------------------------------------------------------------------------

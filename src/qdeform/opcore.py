@@ -24,7 +24,10 @@ terminating. ``apply`` works at an explicit truncation degree D and raises
 on overflow, so identity checks are never silently corrupted. ``realize``
 tabulates the action as a degree-banded matrix; ``realize_exact`` inflates
 the working degree by the expression's peak degree-raise so boundary
-columns come out exact, and commutators are realized through it.
+columns come out exact, and commutators are realized through it. Both
+tabulate an expression of x, d, scalars and Table diagonals by visiting
+each node once for all columns, with the columns, marks and errors of
+applying it to each x^n in turn, which is how they realize anything else.
 
 An exponential exp(h G d), G a monomial-basis diagonal after d, is applied
 without its series: G d = U^-1 d U for the diagonal U with
@@ -261,7 +264,7 @@ class DiagFn(Op):
         try:
             c = c._diag(vals, self.inverse)
         except ZeroDivisionError as exc:
-            self._singular(exc.args[0])
+            raise self._singular(exc.args[0])
         return c if owner is None else owner.combine(c)
 
     def eigenpairs(self, num):
@@ -279,12 +282,12 @@ class DiagFn(Op):
                 continue
             g = fn(n)
             if self.inverse and g == 0:
-                self._singular(n)
+                raise self._singular(n)
             vals.append((g.numerator, g.denominator))
         return vals
 
-    def _singular(self, n: int):
-        raise SingularOperatorError(
+    def _singular(self, n: int) -> SingularOperatorError:
+        return SingularOperatorError(
             "inv(%s) hit eigenvalue 0 at occupied degree %d" % (self.name, n)
         )
 
@@ -554,11 +557,12 @@ def realize(e: OpExpr, D: int) -> LinOp:
     """Tabulate e column by column; overflowing columns are marked None."""
     _require_natural(D)
     cols = []
-    for n in range(D + 1):
-        try:
-            cols.append(apply(e, Poly.monomial(n), D))
-        except DegreeOverflowError:
-            cols.append(None)
+    for img in _images(e, D + 1, D, marks=True):
+        if isinstance(img, DegreeOverflowError):
+            img = None
+        elif isinstance(img, Exception):
+            raise img
+        cols.append(img)
     return LinOp(D, cols)
 
 
@@ -566,12 +570,186 @@ def realize_exact(e: OpExpr, D: int) -> LinOp:
     """Like realize, but works at an inflated internal truncation so that a
     column is marked only when its exact image genuinely leaves degree D."""
     _require_natural(D)
-    Dw = working_degree(D, e)
     cols = []
-    for n in range(D + 1):
-        img = apply(e, Poly.monomial(n), Dw)
+    for img in _images(e, D + 1, working_degree(D, e), marks=False):
+        if isinstance(img, Exception):
+            raise img
         cols.append(img if img.degree <= D else None)
     return LinOp(D, cols)
+
+
+def _images(e: OpExpr, size: int, D: int, marks: bool):
+    """The image of x^n under e at truncation D for n < size, in order,
+    for a reader that stops at the first error it meets: any error, or
+    with marks any but DegreeOverflowError. A banded e is tabulated by
+    _Band, which yields each column's error in its place and leaves the
+    columns after the reader stops unfinished. Any other e is applied
+    column by column; a DegreeOverflowError is yielded, and any other
+    error is raised at its column."""
+    if _banded(e):
+        yield from _Band(size, D, marks).images(e)
+        return
+    for n in range(size):
+        try:
+            img = apply(e, Poly.monomial(n), D)
+        except DegreeOverflowError as exc:
+            img = exc
+        yield img
+
+
+def _banded(e: OpExpr) -> bool:
+    """True when e is built from x, d, 1 and monomial-basis diagonals that
+    read a Table by scaling, sums, products and powers: then column n of e
+    is a sum of terms c_s(n) x^(n+s), which _Band tabulates."""
+    kind = type(e)
+    if kind is DiagFn:
+        return e.owner is None and type(e.fn) is Table
+    if kind in (Scaled, OpSum, OpProd, IntPow):
+        return all(_banded(c) for c in e.children)
+    return kind in (Coord, Deriv, Ident)
+
+
+class _Band:
+    """Tabulation of a banded expression on the columns x^n, n < size, at
+    truncation D, visiting each node once for all of them. A state maps an
+    offset s to the coefficients c_s(n) of x^(n+s), one per column, each a
+    (num, den) int pair with den > 0, or 0; the pairs are reduced only when
+    a column is read out. Each node mirrors its act. A column records the
+    first error its action raises, in node order, and is zero from there
+    on; a zero column raises nothing, as in the walk. The columns are read
+    in order up to the first error that stops the reader (see _images), so
+    a power stops once every column still to be read is zero."""
+
+    def __init__(self, size: int, D: int, marks: bool):
+        self.size, self.D, self.marks = size, D, marks
+        self.errors = [None] * size
+        self.read = size  # the columns below this one are read
+
+    def images(self, e: OpExpr) -> list:
+        """The image of each column under e, or the error it recorded."""
+        state = self.run(e, {0: [(1, 1)] * self.size})
+        out = []
+        for n, err in enumerate(self.errors):
+            if err is not None:
+                out.append(err)
+                continue
+            terms = [(n + s, c) for s, row in state.items() if (c := row[n])]
+            num = [0] * (max([m for m, _ in terms], default=-1) + 1)
+            den = math.lcm(*[b for _, (_, b) in terms])
+            for m, (a, b) in terms:
+                num[m] = a * (den // b)
+            out.append(Poly._make(num, den))
+        return out
+
+    def drop(self, state: dict, failed: dict) -> dict:
+        """state with each column in failed, a dict from column to error,
+        set to zero; the error is recorded unless the column has one."""
+        if not failed:
+            return state
+        for n, err in failed.items():
+            if self.errors[n] is None:
+                self.errors[n] = err
+                if not (self.marks and isinstance(err, DegreeOverflowError)):
+                    self.read = min(self.read, n)
+        return {s: [0 if n in failed else c for n, c in enumerate(row)] for s, row in state.items()}
+
+    def run(self, e: OpExpr, state: dict) -> dict:
+        kind = type(e)
+        if kind is OpProd:
+            for f in reversed(e.factors):
+                state = self.run(f, state)
+            return state
+        if kind is DiagFn:
+            return self.diag(e, state)
+        if kind is Coord:
+            return self.coord(state)
+        if kind is Deriv:
+            # x^m -> m x^(m-1)
+            return {
+                s - 1: [c and (m := n + s) and (c[0] * m, c[1]) for n, c in enumerate(row)]
+                for s, row in state.items()
+            }
+        if kind is Scaled:
+            state = self.run(e.op, state)
+            a, b = e.c.numerator, e.c.denominator
+            if not a:
+                return {}
+            return {s: [c and (c[0] * a, c[1] * b) for c in row] for s, row in state.items()}
+        if kind is OpSum:
+            out = {}
+            for t in e.terms:
+                for s, row in self.run(t, state).items():
+                    out[s] = _add_rows(out[s], row) if s in out else row
+            return out
+        if kind is IntPow:
+            for _ in range(e.n):
+                read = [n for n in range(self.read) if self.errors[n] is None]
+                if not any(row[n] for row in state.values() for n in read):
+                    break
+                state = self.run(e.base, state)
+            return state
+        return state  # Ident
+
+    def coord(self, state: dict) -> dict:
+        """x, which raises DegreeOverflowError on a column whose degree
+        would pass D."""
+        if not state:
+            return state
+        D, failed = self.D, {}
+        for n in range(max(0, D - max(state)), self.size):
+            top = max((n + s for s, row in state.items() if row[n]), default=-1)
+            if top + 1 > D:
+                failed[n] = DegreeOverflowError("x raises degree %d past truncation %d" % (top, D))
+        return {s + 1: row for s, row in self.drop(state, failed).items()}
+
+    def diag(self, e: DiagFn, state: dict) -> dict:
+        """A diagonal that reads a Table, with the errors of its act: the
+        Table's ValueError for an undefined entry, then SingularOperatorError
+        for an inverse's zero entry, each at the column's lowest such
+        occupied degree."""
+        top = max(
+            (n + s for s, row in state.items() for n, c in enumerate(row) if c), default=-1
+        )
+        if top < 0:
+            return state
+        table, inverse = e.fn, e.inverse
+        shift, below = table.shift, table.below
+        pairs = table.pairs(top + shift)
+        out, failed = {}, {}
+        for s in sorted(state):  # each column's degrees from the lowest up
+            out[s] = row = []
+            for n, c in enumerate(state[s]):
+                i = n + s + shift
+                if not c:
+                    pass
+                elif i < 0 and below is None:
+                    failed.setdefault(n, ValueError("index %d is negative" % i))
+                    c = 0
+                else:
+                    a, b = pairs[i] if i >= 0 else below
+                    if inverse and not a:
+                        failed.setdefault(n, e._singular(n + s))
+                    elif inverse:
+                        a, b = (b, a) if a > 0 else (-b, -a)
+                    c = a and (c[0] * a, c[1] * b)
+                row.append(c)
+        return self.drop(out, failed)
+
+
+def _add_rows(u: list, v: list) -> list:
+    """The entrywise sum of two rows of pairs."""
+    out = []
+    for x, y in zip(u, v):
+        if not x:
+            out.append(y)
+        elif not y:
+            out.append(x)
+        else:
+            (a, b), (c, d) = x, y
+            g = math.gcd(b, d)
+            num = a * (d // g) + c * (b // g)
+            out.append(num and (num, b * (d // g)))
+    return out
 
 
 def _weighted_commutator(e1, e2, w, D):

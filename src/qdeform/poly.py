@@ -77,6 +77,13 @@ def _scale_up(out, b):
     return out
 
 
+def _wire_coeffs(value) -> list:
+    """The coefficients of a wire-format list of ints and "p/q" strings."""
+    if not isinstance(value, list):
+        raise TypeError("coefficients are a list")
+    return [rational(c) for c in value]
+
+
 class Poly:
     """Dense univariate polynomial over exact rationals."""
 
@@ -456,11 +463,11 @@ class Poly:
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
         basis = wire_field(data, "basis", "polynomial")
-        coeffs = wire_field(data, "coeffs", "polynomial")
+        coeffs = wire_field(data, "coeffs", "polynomial", _wire_coeffs)
         if basis == "monomial":
             return cls(coeffs)
         try:
-            delta = basis["falling"]["delta"]
-        except (KeyError, TypeError):
+            delta = rational(basis["falling"]["delta"])
+        except (KeyError, TypeError, ValueError):
             raise ValueError("unknown polynomial basis %r" % (basis,)) from None
         return cls(coeffs, FallingFactorial(delta))

@@ -42,11 +42,22 @@ def rational(value) -> Fraction:
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
-def wire_field(data: dict, name: str, what: str):
-    """data[name] of a wire-format object; a missing field is a ValueError."""
+def wire_field(data: dict, name: str, what: str, read=None):
+    """data[name] of a wire-format object, passed through read when given.
+    Data that is not an object, a missing field, and a value that read
+    rejects with TypeError or ValueError are each a ValueError that names
+    what is being read."""
+    if not isinstance(data, dict):
+        raise ValueError("%s wire data must be an object, got %r" % (what, data))
     if name not in data:
         raise ValueError("%s wire data has no %r field" % (what, name))
-    return data[name]
+    value = data[name]
+    if read is None:
+        return value
+    try:
+        return read(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s wire data has a malformed %r field: %r" % (what, name, value)) from None
 
 
 class Record:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeform.dsl import MAX_NESTING, _tokenize, parse, pretty
+from qdeform.dsl import MAX_NESTING, _Parser, _read_literal, _tokenize, parse, parse_poly, pretty
 from qdeform.errors import DslError, MathError, ParseError, SemanticError
 from qdeform.maps import dq_expr, s_expr, xq_expr
 from qdeform.opcore import (
@@ -128,6 +128,68 @@ class TestPolyLiterals:
     def test_not_nested(self):
         with pytest.raises(ParseError):
             parse("x + poly(x)")
+
+
+def parsed_literal(text):
+    """What the full parser makes of text as a polynomial literal: the Poly,
+    or (type, message) of its error."""
+    try:
+        return _Parser(text, None, None).parse_input(True)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# polynomials in the workloads' coefficient range: numerators up to 9 in
+# size over denominators up to 6, degree up to 12
+_workload_polys = st.lists(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), min_size=0, max_size=13
+).map(Poly)
+_literal_text = st.lists(
+    st.sampled_from(list("0123456789x*^/+-() ") + ["poly", "poly(", "x^", "*x^", "1/"]),
+    max_size=16,
+).map("".join)
+
+
+class TestLiteralReader:
+    """parse_poly reads the canonical literal directly; the reader agrees
+    with the parser wherever it accepts, and declines everything else."""
+
+    @given(p=_workload_polys, wrapped=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_printed_polynomials_as_the_parser_does(self, p, wrapped):
+        text = ("poly(%s)" if wrapped else "%s") % p.to_text()
+        assert _read_literal(text) == parsed_literal(text) == p
+
+    @given(text=_literal_text)
+    @settings(max_examples=500, deadline=None)
+    def test_never_accepts_what_the_parser_would_not_return(self, text):
+        read = _read_literal(text)
+        assert read is None or read == parsed_literal(text)
+
+    @pytest.mark.parametrize("text, poly", [
+        ("x^2-1", Poly([-1, 0, 1])),
+        ("poly(-1/2*x^3+x)", Poly([0, 1, 0, Fraction(-1, 2)])),
+        ("x+x-3*x^0", Poly([-3, 2])),
+        ("0*x^9+0", Poly.zero()),
+        ("2/4*x^0007", Poly.monomial(7, Fraction(1, 2))),
+        ("x^9999", Poly.monomial(9999)),
+    ])
+    def test_accepted(self, text, poly):
+        assert _read_literal(text) == poly == parsed_literal(text)
+
+    @pytest.mark.parametrize("text", [
+        " x", "x ", "x + 1", "poly( x)", "+x", "--x", "-+x", "x*x", "x^2*3", "2x", "x2",
+        "1/0", "x^0/2", "x^12345", "2*x^", "1/", "x^-1", "poly()", "poly(x))", "poly(x)+1",
+        "(x)", "", "1//2", "\u0663",
+    ])
+    def test_declined(self, text):
+        assert _read_literal(text) is None
+
+    def test_parameter_errors_are_the_parsers(self):
+        with pytest.raises(TypeError, match="expected an exact rational, got 0.5"):
+            parse_poly("x", q=0.5)
+        with pytest.raises(TypeError, match="expected an exact rational, got 0.5"):
+            parse_poly("x x", q=0.5)
 
 
 class TestErrors:

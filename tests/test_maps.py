@@ -691,6 +691,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="wire data has no '%s' field$" % field):
             map_from_json(data)
 
+    # the missing-field test above pins its message, so malformed values
+    # and data that is not an object have their own
+    @pytest.mark.parametrize("data, message", [
+        ({"map": 5}, "map wire data has a malformed 'map' field: 5"),
+        ("phi_q", "map wire data must be an object, got 'phi_q'"),
+        ({"map": "compose", "outer": 5, "inner": {"map": "identity"}},
+         "map wire data must be an object, got 5"),
+        ({"map": "phi_q", "q": 0.5}, "phi_q wire data has a malformed 'q' field: 0.5"),
+        ({"map": "phi_delta", "delta": [1]}, "phi_delta wire data has a malformed 'delta' field: [1]"),
+    ])
+    def test_malformed_wire_value_is_named(self, data, message):
+        with pytest.raises(ValueError) as err:
+            map_from_json(data)
+        assert str(err.value) == message
+
 
 class TestConcurrency:
     def test_parallel_basis_reads_match_sequential(self):

@@ -52,6 +52,7 @@ from qdeform.opcore import (
 from qdeform.poly import FallingFactorial, Monomial, Poly
 from qdeform.qnum import QContext
 from qdeform.verify import Check
+from test_dsl import _combine, ast_texts
 
 
 def ctx_for(q):
@@ -411,6 +412,120 @@ class TestRealize:
         assert data["band"] == [1, 1]
         assert data["columns"][2] is None
         assert data["columns"][0] == {"basis": "monomial", "coeffs": ["0", "1"]}
+
+
+def walked_realization(e, D, exact):
+    """realize (exact False) or realize_exact (exact True) of e as the
+    column-by-column walk gives it: the list of columns, None for a marked
+    one, or (type, message) of the error it raises."""
+    try:
+        Dw = working_degree(D, e) if exact else D
+        cols = []
+        for n in range(D + 1):
+            try:
+                img = apply(e, Poly.monomial(n), Dw)
+            except DegreeOverflowError:
+                if exact:
+                    raise
+                img = None
+            cols.append(img if img is None or img.degree <= D else None)
+        return cols
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def realization(e, D, exact):
+    try:
+        return list((realize_exact if exact else realize)(e, D).columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Banded texts: x, d, scalars and the diagonals that read a Table.
+_banded_leaves = st.sampled_from(
+    ["x", "d", "A", "B", "Dq", "xq", "S", "Mq", "U", "inv(B)", "inv(A)", "0"]
+) | st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str)
+banded_texts = st.recursive(_banded_leaves, _combine, max_leaves=6)
+
+_CTX = ctx_for(Fraction(1, 2))
+# inv of g(n) = n - 1, with g = 5 below index 0: only column 1 is singular
+_INV_A_MINUS_1 = DiagInv(DiagFn("A-1", opcore.Table(opcore._degrees, -1, (5, 1))))
+BANDED_CASES = [
+    (op_prod(COORD, A_DIAG), 0),
+    (op_prod(COORD, A_DIAG), 3),
+    (op_prod(DiagInv(A_DIAG), COORD, COORD), 4),
+    (op_prod(COORD, DiagInv(A_DIAG)), 0),
+    (op_prod(COORD, DiagInv(A_DIAG)), 3),
+    (qnum_diag(_CTX, -1), 3),
+    (DiagInv(qnum_diag(_CTX, -1)), 3),
+    (gamma_ratio_diag(_CTX, -1), 3),
+    (IntPow(op_prod(COORD, DERIV), 2), 4),
+    (op_prod(IntPow(COORD, 2), DERIV), 3),
+    (op_prod(DiagInv(A_DIAG), IntPow(DERIV, 4)), 3),
+    (op_prod(DiagInv(A_DIAG), DERIV), 3),
+    (op_prod(DiagInv(A_DIAG), IntPow(op_sum(op_prod(COORD, DERIV), scaled(-1, A_DIAG)), 3)), 3),
+    (IntPow(op_sum(COORD, IDENT), 3), 2),
+    (IntPow(op_sum(op_prod(DiagInv(A_DIAG), B_DIAG), IDENT), 3), 3),
+    (op_prod(DiagInv(A_DIAG), _INV_A_MINUS_1), 3),
+    (op_prod(qnum_diag(_CTX, -1), _INV_A_MINUS_1), 3),
+]
+
+
+class TestBandedTabulation:
+    """realize and realize_exact tabulate a banded expression once per node;
+    every column, mark and error equals the column-by-column walk's."""
+
+    @pytest.mark.parametrize("e, D", BANDED_CASES, ids=[
+        "%s@%d" % (e.text, D) for e, D in BANDED_CASES
+    ])
+    @pytest.mark.parametrize("exact", [False, True], ids=["realize", "realize_exact"])
+    def test_hand_cases(self, e, D, exact):
+        assert opcore._banded(e)
+        assert realization(e, D, exact) == walked_realization(e, D, exact)
+
+    @given(text=banded_texts, D=st.integers(0, 7), q=st.sampled_from(Q_GRID),
+           exact=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_banded_texts(self, text, D, q, exact):
+        e = parse(text, q=q)
+        assert opcore._banded(e)
+        assert realization(e, D, exact) == walked_realization(e, D, exact)
+
+    @given(text=ast_texts, D=st.integers(0, 6), exact=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_dsl_texts(self, text, D, exact):
+        e = parse(text, q=Fraction(1, 2), delta=Fraction(1))
+        assert realization(e, D, exact) == walked_realization(e, D, exact)
+
+    def test_zero_column_records_nothing(self):
+        assert realize(op_prod(COORD, A_DIAG), 0).columns == (Poly.zero(),)
+
+    def test_errors_are_raised_in_column_order(self):
+        # column 1 fails at the first node, column 0 only at the second
+        with pytest.raises(SingularOperatorError, match="inv\\(A\\) hit eigenvalue 0 at occupied degree 0$"):
+            realize(op_prod(DiagInv(A_DIAG), _INV_A_MINUS_1), 3)
+
+    def test_power_stops_once_no_read_column_is_left(self):
+        # column 0 fails in the first round and no column after it is read,
+        # so the power stops there, as the walk does at column 0
+        calls = []
+
+        def degrees(m):
+            calls.append(m)
+            return [(k, 1) for k in range(m + 1)]
+
+        e = IntPow(op_prod(DiagInv(A_DIAG), DiagFn("g", opcore.Table(degrees, 1))), 50)
+        for realization_of in (realize, realize_exact):
+            calls.clear()
+            with pytest.raises(SingularOperatorError, match="inv\\(A\\) hit eigenvalue 0 at occupied degree 0$"):
+                realization_of(e, 3)
+            assert len(calls) == 1
+
+    def test_only_table_diagonals_are_banded(self):
+        assert opcore._banded(parse("Dq*xq-xq*Dq", q=Fraction(1, 2)))
+        assert not opcore._banded(parse("qn(A)", q=Fraction(1, 2)))
+        assert not opcore._banded(parse("x*exp(d)"))
+        assert not opcore._banded(DiagFn("g", Fraction))
 
 
 # Each immutable value class but LinOp and DeformMap (see their own

@@ -201,6 +201,16 @@ class TestTextAndJson:
         ({"coeffs": []}, "polynomial wire data has no 'basis' field"),
         ({"basis": "weird", "coeffs": []}, "unknown polynomial basis 'weird'"),
         ({"basis": {"falling": {}}, "coeffs": []}, "unknown polynomial basis {'falling': {}}"),
+        ({"basis": "monomial", "coeffs": "123"},
+         "polynomial wire data has a malformed 'coeffs' field: '123'"),
+        ({"basis": "monomial", "coeffs": 5}, "polynomial wire data has a malformed 'coeffs' field: 5"),
+        ({"basis": "monomial", "coeffs": [1.5]},
+         "polynomial wire data has a malformed 'coeffs' field: [1.5]"),
+        ({"basis": "monomial", "coeffs": [1, None]},
+         "polynomial wire data has a malformed 'coeffs' field: [1, None]"),
+        ({"basis": {"falling": {"delta": 0.5}}, "coeffs": []},
+         "unknown polynomial basis {'falling': {'delta': 0.5}}"),
+        ("x^2", "polynomial wire data must be an object, got 'x^2'"),
     ])
     def test_malformed_json_names_the_field(self, data, message):
         with pytest.raises(ValueError) as err:
