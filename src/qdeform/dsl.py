@@ -49,10 +49,8 @@ from .opcore import (
     Ident,
     IntPow,
     OpExpr,
-    OpProd,
-    OpSum,
-    Scaled,
     apply,
+    built_from,
     gamma_ratio_diag,
     op_prod,
     op_sum,
@@ -197,7 +195,7 @@ class _Parser:
             raise ParseError(what, end.line, end.col)
         if not literal:
             return e
-        if not _built_from(e, (Coord, Ident)):
+        if not built_from(e, lambda n: isinstance(n, (Coord, Ident))):
             raise SemanticError(
                 "poly literals admit only x and rationals", inner_tok.line, inner_tok.col
             )
@@ -280,7 +278,7 @@ class _Parser:
         name = tok.value
         if name == "exp":
             return ExpOp(arg)
-        if not _built_from(arg, (DiagFn, Ident)):
+        if not built_from(arg, lambda n: isinstance(n, (DiagFn, Ident))):
             raise SemanticError(
                 "%s() requires a diagonal argument" % name, tok.line, tok.col
             )
@@ -302,14 +300,6 @@ class _Parser:
             return outer(int(v))
 
         return DiagFn(label, fn)
-
-
-def _built_from(e: OpExpr, leaves) -> bool:
-    """True when e combines only nodes of the kinds in leaves by scaling,
-    sums, products and powers."""
-    if isinstance(e, (Scaled, OpSum, OpProd, IntPow)):
-        return all(_built_from(c, leaves) for c in e.children)
-    return isinstance(e, leaves)
 
 
 def _spectrum(e: OpExpr):

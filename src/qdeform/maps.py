@@ -86,7 +86,7 @@ from .opcore import (
     working_degree,
 )
 from .poly import MONOMIAL, Poly
-from .qnum import QContext, Record, rational, wire_field
+from .qnum import QContext, Record, rational, reciprocal, wire_field
 
 CHECK_DEGREE = 16
 
@@ -525,7 +525,7 @@ def quantum_average(p: Poly, ctx: QContext) -> Poly:
     """x^n -> x^n/{n+1}; equals (1/x) S and inverts B."""
     if p.basis != MONOMIAL:
         raise UnsupportedBasisOperationError("quantum average needs monomial basis")
-    return p._diag(ctx.qnumber_pairs(p.degree + 1)[1:], invert=True)
+    return p._diag(reciprocal(ctx.qnumber_pairs(p.degree + 1)[1 : p.degree + 2]))
 
 
 def rolle_check(f: Poly, ctx: QContext, D: int) -> bool:

@@ -12,7 +12,8 @@ is how such functions are evaluated spectrally. The
 standard diagonals read g from a ``Table`` of (num, den) int pairs (a
 QContext's tables, or the degrees themselves); any other callable is
 adapted at its node. Either way g is evaluated at the occupied degrees of
-the input only.
+the input only, and only through ``DiagFn.eigenpairs``, which gives the
+factor of each such degree, already inverted for an inverse node.
 
 Each node kind owns its action, degree bounds, children and canonical text
 (see ``Op``); ``apply``, the bounds, ``substitute`` and ``dsl.pretty`` walk
@@ -26,8 +27,10 @@ tabulates the action as a degree-banded matrix; ``realize_exact`` inflates
 the working degree by the expression's peak degree-raise so boundary
 columns come out exact, and commutators are realized through it. Both
 tabulate an expression of x, d, scalars and Table diagonals by visiting
-each node once for all columns, with the columns, marks and errors of
-applying it to each x^n in turn, which is how they realize anything else.
+each node once for all columns, which computes the columns and the
+overflow marks alone. If it meets any other error, they apply the
+expression to each x^n in turn, as they do anything else, and that walk
+raises the error at its column.
 
 An exponential exp(h G d), G a monomial-basis diagonal after d, is applied
 without its series: G d = U^-1 d U for the diagonal U with
@@ -60,7 +63,7 @@ from .errors import (
     UnsupportedStarError,
 )
 from .poly import MONOMIAL, Poly
-from .qnum import QContext, Record, rational
+from .qnum import QContext, Record, rational, reciprocal
 
 # How tightly a node's text binds, loosest first: "^" binds tighter than
 # "*", which binds tighter than "+"/"-" (a leading minus binds loosest).
@@ -260,36 +263,36 @@ class DiagFn(Op):
     def act(self, p: Poly, D: int) -> Poly:
         owner = self.owner
         c = p if owner is None else owner.components(p)
-        vals = self.eigenpairs(c._num)
-        try:
-            c = c._diag(vals, self.inverse)
-        except ZeroDivisionError as exc:
-            raise self._singular(exc.args[0])
+        c = c._diag(self.eigenpairs(c._num))
         return c if owner is None else owner.combine(c)
 
     def eigenpairs(self, num):
-        """(num, den), den > 0, of fn(n) for each degree n < len(num); only
-        the entries at nonzero num[n] are evaluated, from the lowest up, and
-        the others are placeholders. A callable's inverse raises
-        SingularOperatorError at the first such entry that is 0."""
+        """The factor by which the node multiplies degree n, for each n <
+        len(num): the (num, den) pair, den > 0, of fn(n), or of 1/fn(n) for
+        an inverse. Only the entries at nonzero num[n] are evaluated, from
+        the lowest up; the others are placeholders. A Table's undefined
+        entry raises its ValueError first; then an inverse raises
+        SingularOperatorError at the lowest such entry that is 0, and a
+        callable is not called past it."""
         fn = self.fn
         if isinstance(fn, Table):
-            return fn.pairs_at(num)
-        vals = []
+            vals = fn.pairs_at(num)
+        else:
+            vals = [(0, 1)] * len(num)
+            for n, c in enumerate(num):
+                if c:
+                    g = fn(n)
+                    vals[n] = (g.numerator, g.denominator)
+                    if self.inverse and not g:
+                        break  # the lowest zero, raised below
+        if not self.inverse:
+            return vals
         for n, c in enumerate(num):
-            if not c:
-                vals.append((0, 1))
-                continue
-            g = fn(n)
-            if self.inverse and g == 0:
-                raise self._singular(n)
-            vals.append((g.numerator, g.denominator))
-        return vals
-
-    def _singular(self, n: int) -> SingularOperatorError:
-        return SingularOperatorError(
-            "inv(%s) hit eigenvalue 0 at occupied degree %d" % (self.name, n)
-        )
+            if c and not vals[n][0]:
+                raise SingularOperatorError(
+                    "inv(%s) hit eigenvalue 0 at occupied degree %d" % (self.name, n)
+                )
+        return reciprocal(vals)
 
     @property
     def text(self):
@@ -438,7 +441,8 @@ def _require_natural(D: int):
 
 def _shift_steps(arg, N):
     """The steps h g(k), k < N, of exp(arg) as the conjugated Taylor shift
-    (see ExpOp), each a (num, den) pair in lowest terms with den > 0;
+    (see ExpOp), g(k) being the factor G gives degree k (see
+    DiagFn.eigenpairs), each a (num, den) pair in lowest terms with den > 0;
     scalar factors may stand anywhere before d. None when arg is not h G d
     or h d, or when g cannot be evaluated or inverted below N."""
     h = Fraction(1)
@@ -464,10 +468,6 @@ def _shift_steps(arg, N):
         return None
     steps = []
     for a, b in vals:
-        if g.inverse:
-            if not a:
-                return None
-            a, b = (b, a) if a > 0 else (-b, -a)
         # h (a/b), cross-reduced as Fraction multiplies
         g1, g2 = math.gcd(c, b), math.gcd(a, e)
         steps.append(((c // g1) * (a // g2), (e // g2) * (b // g1)))
@@ -556,82 +556,79 @@ class LinOp(Record):
 def realize(e: OpExpr, D: int) -> LinOp:
     """Tabulate e column by column; overflowing columns are marked None."""
     _require_natural(D)
-    cols = []
-    for img in _images(e, D + 1, D, marks=True):
-        if isinstance(img, DegreeOverflowError):
-            img = None
-        elif isinstance(img, Exception):
-            raise img
-        cols.append(img)
-    return LinOp(D, cols)
+    return LinOp(D, _images(e, D + 1, D, marks=True))
 
 
 def realize_exact(e: OpExpr, D: int) -> LinOp:
     """Like realize, but works at an inflated internal truncation so that a
     column is marked only when its exact image genuinely leaves degree D."""
     _require_natural(D)
-    cols = []
-    for img in _images(e, D + 1, working_degree(D, e), marks=False):
-        if isinstance(img, Exception):
-            raise img
-        cols.append(img if img.degree <= D else None)
-    return LinOp(D, cols)
+    cols = _images(e, D + 1, working_degree(D, e), marks=False)
+    return LinOp(D, [img if img.degree <= D else None for img in cols])
 
 
-def _images(e: OpExpr, size: int, D: int, marks: bool):
-    """The image of x^n under e at truncation D for n < size, in order,
-    for a reader that stops at the first error it meets: any error, or
-    with marks any but DegreeOverflowError. A banded e is tabulated by
-    _Band, which yields each column's error in its place and leaves the
-    columns after the reader stops unfinished. Any other e is applied
-    column by column; a DegreeOverflowError is yielded, and any other
-    error is raised at its column."""
+def _images(e: OpExpr, size: int, D: int, marks: bool) -> list:
+    """The image of x^n under e at truncation D for n < size, as applying e
+    to each x^n in turn gives it: with marks, a column whose image
+    overflows is None; any other error is raised at its column. A banded e
+    (see _Band) is tabulated once per node; if that meets an error other
+    than a mark, it is dropped and the walk below raises the error at its
+    column."""
     if _banded(e):
-        yield from _Band(size, D, marks).images(e)
-        return
+        try:
+            return _Band(size, D, marks).images(e)
+        except (MathError, ValueError):
+            pass
+    cols = []
     for n in range(size):
         try:
-            img = apply(e, Poly.monomial(n), D)
-        except DegreeOverflowError as exc:
-            img = exc
-        yield img
+            cols.append(apply(e, Poly.monomial(n), D))
+        except DegreeOverflowError:
+            if not marks:
+                raise
+            cols.append(None)
+    return cols
+
+
+def built_from(e: OpExpr, leaf) -> bool:
+    """True when e combines only nodes for which leaf(node) holds by
+    scaling, sums, products and powers."""
+    if isinstance(e, (Scaled, OpSum, OpProd, IntPow)):
+        return all(built_from(c, leaf) for c in e.children)
+    return leaf(e)
 
 
 def _banded(e: OpExpr) -> bool:
-    """True when e is built from x, d, 1 and monomial-basis diagonals that
-    read a Table by scaling, sums, products and powers: then column n of e
-    is a sum of terms c_s(n) x^(n+s), which _Band tabulates."""
-    kind = type(e)
-    if kind is DiagFn:
-        return e.owner is None and type(e.fn) is Table
-    if kind in (Scaled, OpSum, OpProd, IntPow):
-        return all(_banded(c) for c in e.children)
-    return kind in (Coord, Deriv, Ident)
+    """True when e is built from x, d, 1 and the monomial-basis diagonals
+    that read a Table: then column n of e is a sum of terms c_s(n) x^(n+s),
+    which _Band tabulates."""
+    return built_from(e, lambda node: type(node) in (Coord, Deriv, Ident) or (
+        type(node) is DiagFn and node.owner is None and type(node.fn) is Table
+    ))
 
 
 class _Band:
-    """Tabulation of a banded expression on the columns x^n, n < size, at
-    truncation D, visiting each node once for all of them. A state maps an
-    offset s to the coefficients c_s(n) of x^(n+s), one per column, each a
-    (num, den) int pair with den > 0, or 0; the pairs are reduced only when
-    a column is read out. Each node mirrors its act. A column records the
-    first error its action raises, in node order, and is zero from there
-    on; a zero column raises nothing, as in the walk. The columns are read
-    in order up to the first error that stops the reader (see _images), so
-    a power stops once every column still to be read is zero."""
+    """Tabulation of a banded expression (see _banded) on the columns x^n,
+    n < size, at truncation D, visiting each node once for all of them. A
+    state maps an offset s to the coefficients c_s(n) of x^(n+s), one per
+    column, each a (num, den) int pair with den > 0, or 0; the pairs are
+    reduced only when a column is read out. Each node mirrors its act on
+    the success path only. With marks, a column that x raises past D is
+    marked and zero from there on, as the walk stops it there; any other
+    error is raised as soon as a node meets it, for _images to hand to
+    the walk."""
 
     def __init__(self, size: int, D: int, marks: bool):
         self.size, self.D, self.marks = size, D, marks
-        self.errors = [None] * size
-        self.read = size  # the columns below this one are read
+        self.marked = set()
 
     def images(self, e: OpExpr) -> list:
-        """The image of each column under e, or the error it recorded."""
+        """The image of each column under e, None where marked."""
         state = self.run(e, {0: [(1, 1)] * self.size})
         out = []
-        for n, err in enumerate(self.errors):
-            if err is not None:
-                out.append(err)
+        for n in range(self.size):
+            if n in self.marked:
+                out.append(None)
                 continue
             terms = [(n + s, c) for s, row in state.items() if (c := row[n])]
             num = [0] * (max([m for m, _ in terms], default=-1) + 1)
@@ -641,17 +638,14 @@ class _Band:
             out.append(Poly._make(num, den))
         return out
 
-    def drop(self, state: dict, failed: dict) -> dict:
-        """state with each column in failed, a dict from column to error,
-        set to zero; the error is recorded unless the column has one."""
-        if not failed:
-            return state
-        for n, err in failed.items():
-            if self.errors[n] is None:
-                self.errors[n] = err
-                if not (self.marks and isinstance(err, DegreeOverflowError)):
-                    self.read = min(self.read, n)
-        return {s: [0 if n in failed else c for n, c in enumerate(row)] for s, row in state.items()}
+    def unmark(self, *states):
+        """Zero the marked columns in every row of states, in place: no
+        other column reads a marked column's entries, so no row needs
+        them."""
+        for state in states:
+            for row in state.values():
+                for n in self.marked:
+                    row[n] = 0
 
     def run(self, e: OpExpr, state: dict) -> dict:
         kind = type(e)
@@ -680,60 +674,42 @@ class _Band:
             for t in e.terms:
                 for s, row in self.run(t, state).items():
                     out[s] = _add_rows(out[s], row) if s in out else row
+                # the walk stops a column at its mark: the later terms never
+                # see it, and the earlier ones are dropped
+                self.unmark(state, out)
             return out
         if kind is IntPow:
             for _ in range(e.n):
-                read = [n for n in range(self.read) if self.errors[n] is None]
-                if not any(row[n] for row in state.values() for n in read):
+                if not any(any(row) for row in state.values()):
                     break
                 state = self.run(e.base, state)
             return state
         return state  # Ident
 
     def coord(self, state: dict) -> dict:
-        """x, which raises DegreeOverflowError on a column whose degree
-        would pass D."""
-        if not state:
-            return state
-        D, failed = self.D, {}
-        for n in range(max(0, D - max(state)), self.size):
-            top = max((n + s for s, row in state.items() if row[n]), default=-1)
-            if top + 1 > D:
-                failed[n] = DegreeOverflowError("x raises degree %d past truncation %d" % (top, D))
-        return {s + 1: row for s, row in self.drop(state, failed).items()}
+        """x, which marks a column whose degree would pass D, or with no
+        marks raises DegreeOverflowError."""
+        D = self.D
+        over = {n for s, row in state.items() for n in range(max(0, D - s), self.size) if row[n]}
+        if over:
+            if not self.marks:
+                raise DegreeOverflowError("x raises a column past truncation %d" % D)
+            self.marked |= over
+            self.unmark(state)
+        return {s + 1: row for s, row in state.items()}
 
     def diag(self, e: DiagFn, state: dict) -> dict:
-        """A diagonal that reads a Table, with the errors of its act: the
-        Table's ValueError for an undefined entry, then SingularOperatorError
-        for an inverse's zero entry, each at the column's lowest such
-        occupied degree."""
-        top = max(
-            (n + s for s, row in state.items() for n, c in enumerate(row) if c), default=-1
-        )
-        if top < 0:
+        """A diagonal that reads a Table, evaluated at the degrees that some
+        column occupies."""
+        occupied = {n + s for s, row in state.items() for n, c in enumerate(row) if c}
+        if not occupied:
             return state
-        table, inverse = e.fn, e.inverse
-        shift, below = table.shift, table.below
-        pairs = table.pairs(top + shift)
-        out, failed = {}, {}
-        for s in sorted(state):  # each column's degrees from the lowest up
-            out[s] = row = []
-            for n, c in enumerate(state[s]):
-                i = n + s + shift
-                if not c:
-                    pass
-                elif i < 0 and below is None:
-                    failed.setdefault(n, ValueError("index %d is negative" % i))
-                    c = 0
-                else:
-                    a, b = pairs[i] if i >= 0 else below
-                    if inverse and not a:
-                        failed.setdefault(n, e._singular(n + s))
-                    elif inverse:
-                        a, b = (b, a) if a > 0 else (-b, -a)
-                    c = a and (c[0] * a, c[1] * b)
-                row.append(c)
-        return self.drop(out, failed)
+        vals = e.eigenpairs([m in occupied for m in range(max(occupied) + 1)])
+        return {
+            s: [c and (v := vals[n + s])[0] and (c[0] * v[0], c[1] * v[1])
+                for n, c in enumerate(row)]
+            for s, row in state.items()
+        }
 
 
 def _add_rows(u: list, v: list) -> list:

@@ -90,6 +90,8 @@ class Poly:
     __slots__ = ("_num", "_den", "basis")
 
     def __init__(self, coeffs=(), basis=MONOMIAL):
+        if isinstance(coeffs, str):
+            raise TypeError("coefficients are a sequence of rationals, not a string")
         fracs = [rational(c) for c in coeffs]
         den = math.lcm(*[f.denominator for f in fracs])
         self._num, self._den = self._canonical(
@@ -344,28 +346,12 @@ class Poly:
             return self
         return Poly._make([0] + self._num, self._den, reduced=True)
 
-    def _diag(self, vals, invert=False) -> "Poly":
-        """x^n -> (a/b) x^n, or x^n -> (b/a) x^n when invert, for the int pair
-        (a, b) = vals[n] with b > 0; the pairs at zero coefficients are not
-        read. Inverting a = 0 raises ZeroDivisionError(n) at the lowest
-        such occupied degree n."""
-        terms = []
-        for n, c in enumerate(self._num):
-            if not c:
-                continue
-            a, b = vals[n]
-            if not invert:
-                terms.append((n, c * a, b))
-            elif a > 0:
-                terms.append((n, c * b, a))
-            elif a:
-                terms.append((n, -c * b, -a))
-            else:
-                raise ZeroDivisionError(n)
-        lcm = math.lcm(*[b for _, _, b in terms])
-        out = [0] * len(self._num)
-        for n, x, b in terms:
-            out[n] = x * (lcm // b)
+    def _diag(self, vals) -> "Poly":
+        """x^n -> (a/b) x^n for the int pair (a, b) = vals[n] with b > 0, one
+        pair per coefficient; the pair of a zero coefficient is not used."""
+        num = self._num
+        lcm = math.lcm(*[vals[n][1] for n, c in enumerate(num) if c])
+        out = [c and c * a * (lcm // b) for c, (a, b) in zip(num, vals)]
         return Poly._make(out, self._den * lcm)
 
     # -- basis conversions ----------------------------------------------

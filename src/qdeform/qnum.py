@@ -42,6 +42,14 @@ def rational(value) -> Fraction:
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
+def reciprocal(pairs) -> list:
+    """The (num, den) pair, den > 0, of 1/(a/b) for each pair (a, b) with
+    b > 0, the one place a pair is inverted; a zero pair (0, 1) stays as
+    it is. It takes the whole sequence: a call per pair costs more than
+    the inversion."""
+    return [(b, a) if a > 0 else (-b, -a) if a else (0, 1) for a, b in pairs]
+
+
 def wire_field(data: dict, name: str, what: str, read=None):
     """data[name] of a wire-format object, passed through read when given.
     Data that is not an object, a missing field, and a value that read
@@ -192,7 +200,7 @@ class QContext:
                 g1, g2 = math.gcd(p, dk), math.gcd(pk, d)
                 p, d = (p // g1) * (pk // g2), (d // g2) * (dk // g1)
                 dbfact.append((p, d))
-                gamma.append((d, p) if p > 0 else (-d, -p))
+            gamma += reciprocal(dbfact[len(gamma):])
             t = self._fact = (tuple(dbfact), tuple(gamma))
         return t
 

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q_GRID, monomial_polys, small_rationals
@@ -200,17 +201,29 @@ class TestConjugatedShift:
         D = max(p.degree, 0)
         assert apply(fast, p, D) == apply(series, p, D)
 
-    def test_shifted_product_fails_the_oracle(self):
-        # negative control: u(n) = g(0) ... g(n), one factor too many
+    @staticmethod
+    def shifts_by_factors(first):
+        """For each diagonal, q and h: whether the conjugated shift whose
+        step k is h times the factor eigenpairs returns at degree first + k
+        reproduces the series on a fixed p."""
         p = Poly([1, -2, Fraction(1, 3), 0, 5, Fraction(-7, 2)])
         for q in FAST_PATH_Q:
             for name, g in fast_path_diagonals(QContext(q)).items():
                 for h in FAST_PATH_STEPS:
-                    vals = [Fraction(*v) for v in g.eigenpairs([1] * (p.degree + 1))[1:]]
-                    steps = [h / v if g.inverse else h * v for v in vals]
-                    expect = apply(series_form(h, g), p, p.degree)
-                    pairs = [(s.numerator, s.denominator) for s in steps]
-                    assert p._conjugated_shift(pairs) != expect, (q, name, h)
+                    factors = g.eigenpairs([1] * (p.degree + first))[first:]
+                    steps = [h * Fraction(*v) for v in factors]
+                    shifted = p._conjugated_shift([(s.numerator, s.denominator) for s in steps])
+                    yield (q, name, h), shifted == apply(series_form(h, g), p, p.degree)
+
+    def test_unshifted_factors_reproduce_the_series(self):
+        # the factors come already inverted for an inverse node
+        for case, same in self.shifts_by_factors(0):
+            assert same, case
+
+    def test_shifted_product_fails_the_oracle(self):
+        # negative control: u(n) = g(1) ... g(n), each factor one degree high
+        for case, same in self.shifts_by_factors(1):
+            assert not same, case
 
     def test_written_forms_take_the_fast_path(self):
         q, p = Fraction(9, 10), Poly([1, 2, 3, 4, 5])
@@ -434,6 +447,11 @@ def walked_realization(e, D, exact):
         return type(exc), str(exc)
 
 
+def table_sizes(ctx):
+    """How far each pair table of ctx has grown."""
+    return len(ctx._qnum), len(ctx._dbr), len(ctx._fact[0])
+
+
 def realization(e, D, exact):
     try:
         return list((realize_exact if exact else realize)(e, D).columns)
@@ -505,9 +523,12 @@ class TestBandedTabulation:
         with pytest.raises(SingularOperatorError, match="inv\\(A\\) hit eigenvalue 0 at occupied degree 0$"):
             realize(op_prod(DiagInv(A_DIAG), _INV_A_MINUS_1), 3)
 
-    def test_power_stops_once_no_read_column_is_left(self):
-        # column 0 fails in the first round and no column after it is read,
-        # so the power stops there, as the walk does at column 0
+    def test_an_error_ends_the_block_pass_and_the_walk_raises_it(self):
+        # column 0 meets inv(A)'s zero in the first round: the block pass
+        # ends at that node after one table read, for columns 0..3, and the
+        # walk reads the table once more, for column 0, before it raises
+        # the same error; a power that went on past the error would read
+        # the table again
         calls = []
 
         def degrees(m):
@@ -519,7 +540,26 @@ class TestBandedTabulation:
             calls.clear()
             with pytest.raises(SingularOperatorError, match="inv\\(A\\) hit eigenvalue 0 at occupied degree 0$"):
                 realization_of(e, 3)
-            assert len(calls) == 1
+            assert calls == [4, 1]
+
+    @given(text=banded_texts, D=st.integers(0, 7), q=st.sampled_from(Q_GRID),
+           exact=st.booleans())
+    @example(text="x*d*S", D=11, q=Fraction(1, 2), exact=False)
+    @example(text="Mq*xq", D=11, q=Fraction(1, 2), exact=False)
+    @example(text="x*A+Dq", D=3, q=Fraction(1, 2), exact=False)
+    @settings(max_examples=300, deadline=None)
+    def test_block_pass_alone_realizes_what_the_walk_does_not_reject(self, text, D, q, exact):
+        # where the walk raises nothing, the block pass alone gives the
+        # realization, and on a fresh QContext it grows every pair table
+        # exactly as far as the walk does
+        walk_ctx, block_ctx = QContext(q), QContext(q)
+        walked = walked_realization(parse(text, q=walk_ctx), D, exact)
+        e = parse(text, q=block_ctx)
+        with mock.patch.object(opcore, "apply", wraps=opcore.apply) as walk:
+            assert realization(e, D, exact) == walked
+        if isinstance(walked, list):
+            assert walk.call_count == 0
+            assert table_sizes(block_ctx) == table_sizes(walk_ctx)
 
     def test_only_table_diagonals_are_banded(self):
         assert opcore._banded(parse("Dq*xq-xq*Dq", q=Fraction(1, 2)))

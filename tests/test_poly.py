@@ -217,6 +217,12 @@ class TestTextAndJson:
             Poly.from_json(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("coeffs", ["123", "1/2", ""])
+    def test_constructor_rejects_a_string(self, coeffs):
+        # a string is not read character by character, as from_json refuses it
+        with pytest.raises(TypeError, match="^coefficients are a sequence of rationals, not a string$"):
+            Poly(coeffs)
+
 
 # ---------------------------------------------------------------------------
 # Kernel oracles: the integer kernels against a per-coefficient Fraction

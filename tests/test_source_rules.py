@@ -199,3 +199,41 @@ def test_unused_name_rule_sees_an_unused_function_and_method(tmp_path):
     source = source.replace(anchor, anchor + "\n    def spare_method(self):\n        return self.q\n")
     qnum.write_text(source + "\n\ndef spare_function():\n    return QContext(0)\n")
     assert sorted(_unused_public_names(package)) == ["qnum.QContext.spare_method", "qnum.spare_function"]
+
+
+# The node kinds that combine other nodes; a function that names them all
+# walks an expression's shape, which opcore.built_from alone does.
+COMBINING_KINDS = {"Scaled", "OpSum", "OpProd", "IntPow"}
+
+
+def _shape_walks(package: Path) -> list:
+    """"module.function" of each function outside opcore that names every
+    one of COMBINING_KINDS."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "opcore":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                if COMBINING_KINDS <= names:
+                    found.append("%s.%s" % (path.stem, node.name))
+    return found
+
+
+def test_only_opcore_walks_an_expression_shape():
+    assert _shape_walks(SOURCES[0].parent) == []
+
+
+def test_shape_walk_rule_sees_a_copied_walk(tmp_path):
+    package = tmp_path / "qdeform"
+    shutil.copytree(SOURCES[0].parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    dsl = package / "dsl.py"
+    dsl.write_text(dsl.read_text() + (
+        "\n\ndef _built_from(e, leaves):\n"
+        "    from .opcore import IntPow, OpProd, OpSum, Scaled\n"
+        "    if isinstance(e, (Scaled, OpSum, OpProd, IntPow)):\n"
+        "        return all(_built_from(c, leaves) for c in e.children)\n"
+        "    return isinstance(e, leaves)\n"
+    ))
+    assert _shape_walks(package) == ["dsl._built_from"]
