@@ -5,6 +5,12 @@ Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 usage/parse problems, 3 mathematical failures (singularity, degeneracy,
 identity violation). Identical invocations produce byte-identical output.
 
+The arguments of every command are declared once, in COMMANDS. A plain
+command line (a command, its positionals, its options spelled in full) is
+read straight from that table; anything else, --help and every usage error
+included, goes through the argparse parser built from the same table, with
+the same results.
+
 ``verify all`` runs its suites on one process per usable CPU when the
 process can fork and has a single thread, and one after another otherwise;
 its output and exit code are the same either way.
@@ -31,29 +37,6 @@ from . import dsl
 from .verify import SUITES, run_suite
 
 _NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
-
-
-def _add_common(sub, *, delta_default=None):
-    sub.add_argument("--q", help="deformation parameter q as an exact rational, e.g. 1/2")
-    sub.add_argument(
-        "--delta",
-        default=delta_default,
-        help="shift parameter delta as an exact rational"
-        + (" (default %s)" % delta_default if delta_default else ""),
-    )
-    sub.add_argument(
-        "--degree",
-        type=int,
-        default=16,
-        metavar="D",
-        help="truncation degree D (default 16)",
-    )
-    sub.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default text)",
-    )
 
 
 # Recording warnings swaps process-wide state, so contexts are built one at a
@@ -242,6 +225,123 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _common(delta_default=None) -> dict:
+    """The options every command takes, after its own."""
+    return {
+        "--q": {"help": "deformation parameter q as an exact rational, e.g. 1/2"},
+        "--delta": {
+            "default": delta_default,
+            "help": "shift parameter delta as an exact rational"
+            + (" (default %(default)s)" if delta_default else ""),
+        },
+        "--degree": {
+            "type": int,
+            "default": 16,
+            "metavar": "D",
+            "help": "truncation degree D (default %(default)s)",
+        },
+        "--format": {
+            "choices": ("text", "json", "csv"),
+            "default": "text",
+            "help": "output format (default %(default)s)",
+        },
+    }
+
+
+def _hahn_command(func, summary: str) -> tuple:
+    """A Hahn command's row: the variant, its parameters, the common options."""
+    return (
+        func,
+        summary,
+        {"variant": {"choices": [v.value for v in HahnVariant]}},
+        {
+            "--alpha": {"required": True},
+            "--beta": {"required": True},
+            "--N": {"required": True},
+            "--c1": {"default": "-1", "help": "leading constant (default %(default)s)"},
+            "--kmax": {"type": int, "default": 8},
+            **_common(delta_default="1"),
+        },
+    )
+
+
+_MAP = {"map": {"choices": list(MAP_KINDS)}}
+
+# The CLI's grammar: command -> (handler, help, positionals, options), each
+# argument given by the keywords of its argparse add_argument call, in the
+# order --help lists them.
+COMMANDS = {
+    "apply": (
+        cmd_apply,
+        "apply an operator expression to a polynomial",
+        {
+            "expr": {"help": "operator expression, e.g. 'Dq' or 'inv(qb(B))*d'"},
+            "poly": {"help": "polynomial, e.g. 'poly(x^3)' or 'x^3'"},
+        },
+        _common(),
+    ),
+    "realize": (cmd_realize, "tabulate an operator on x^0..x^D", {"expr": {}}, _common()),
+    "verify": (
+        cmd_verify,
+        "run a named identity suite",
+        {"suite": {"choices": [*SUITES, "all"]}},
+        _common(),
+    ),
+    "basis": (
+        cmd_basis,
+        "emit adapted-basis elements |0>..|n>",
+        {**_MAP, "count": {"type": int, "help": "largest basis index to emit"}},
+        _common(),
+    ),
+    "project": (cmd_project, "project a polynomial through a map", {**_MAP, "poly": {}}, _common()),
+    "hahn": _hahn_command(cmd_hahn, "eigenvalue/eigenpolynomial table"),
+    "spectrum": _hahn_command(cmd_spectrum, "eigenvalue table"),
+}
+
+
+def _read_args(argv) -> "argparse.Namespace | None":
+    """The Namespace build_parser().parse_args(argv) returns, read straight
+    from COMMANDS when argv is a plain form: a command, its positionals and
+    its options spelled in full as --name=value or --name value, where the
+    value does not start with '-'. Anything else gives None: an
+    abbreviation, -h, --, any other token starting with '-', a failed int,
+    a value outside its choices, a missing required option or a wrong
+    number of positionals."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, options = COMMANDS[argv[0]]
+    words, given, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, word = token.partition("=")
+        if flag not in options:
+            return None
+        if not eq:
+            word = next(tokens, None)
+            if word is None or word.startswith("-"):
+                return None
+        given.append((flag[2:], options[flag], word))
+    if len(words) != len(positionals):
+        return None
+    args = {"command": argv[0], "func": func}
+    for dest, spec, word in (*zip(positionals, positionals.values(), words), *given):
+        try:
+            value = spec.get("type", str)(word)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[dest] = value
+    for flag, spec in options.items():
+        if flag[2:] not in args:
+            if spec.get("required"):
+                return None
+            args[flag[2:]] = spec.get("default")
+    return argparse.Namespace(**args)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reads a negative rational such as -1/2 as a value, not as an option."""
 
@@ -253,62 +353,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by every later
-    command in the process; parsing keeps no state between calls."""
+    """The CLI's argparse parser, generated from COMMANDS. main builds it
+    only for what _read_args declines, once per process; parsing keeps no
+    state between calls."""
     parser = _ArgumentParser(
         prog="qdeform",
         description="Exact operator calculus for commutation-relation-preserving "
         "deformations: Jackson calculus, adapted bases, deformed Hahn operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("apply", help="apply an operator expression to a polynomial")
-    p.add_argument("expr", help="operator expression, e.g. 'Dq' or 'inv(qb(B))*d'")
-    p.add_argument("poly", help="polynomial, e.g. 'poly(x^3)' or 'x^3'")
-    _add_common(p)
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("realize", help="tabulate an operator on x^0..x^D")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("verify", help="run a named identity suite")
-    p.add_argument("suite", choices=[*SUITES, "all"])
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("basis", help="emit adapted-basis elements |0>..|n>")
-    p.add_argument("map", choices=list(MAP_KINDS))
-    p.add_argument("count", type=int, help="largest basis index to emit")
-    _add_common(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("project", help="project a polynomial through a map")
-    p.add_argument("map", choices=list(MAP_KINDS))
-    p.add_argument("poly")
-    _add_common(p)
-    p.set_defaults(func=cmd_project)
-
-    for name, fn, extra in (
-        ("hahn", cmd_hahn, True),
-        ("spectrum", cmd_spectrum, False),
-    ):
-        p = sub.add_parser(
-            name,
-            help="eigenvalue/eigenpolynomial table" if extra else "eigenvalue table",
-        )
-        p.add_argument(
-            "variant", choices=[v.value for v in HahnVariant]
-        )
-        p.add_argument("--alpha", required=True)
-        p.add_argument("--beta", required=True)
-        p.add_argument("--N", required=True)
-        p.add_argument("--c1", default="-1", help="leading constant (default -1)")
-        p.add_argument("--kmax", type=int, default=8)
-        _add_common(p, delta_default="1")
-        p.set_defaults(func=fn)
-
+    for name, (func, summary, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for arg, spec in (*positionals.items(), *options.items()):
+            p.add_argument(arg, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -353,11 +411,13 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     for flag in ("--degree", "--kmax", "count"):
         value = getattr(args, flag.lstrip("-"), 0)
         if value < 0:

@@ -1,11 +1,17 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdeform.cli
 from qdeform.cli import main
@@ -607,6 +613,24 @@ class TestHelp:
         assert "default 16" in out
         assert "default text" in out
 
+    @pytest.mark.parametrize("command", list(qdeform.cli.COMMANDS))
+    def test_command_help_names_its_table_row(self, capsys, monkeypatch, command):
+        # every option of the command's row, and the default of each option
+        # whose help text states one (--kmax and the Hahn parameters have none)
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        _, _, positionals, options = qdeform.cli.COMMANDS[command]
+        assert out.startswith("usage: qdeform %s " % command)
+        for name, spec in positionals.items():
+            assert ("{%s}" % ",".join(spec["choices"]) if "choices" in spec else name) in out
+        for flag, spec in options.items():
+            assert "  %s %s" % (flag, spec.get("metavar", flag[2:].upper())) in out or (
+                "  %s {%s}" % (flag, ",".join(spec["choices"])) in out
+            )
+            if "help" in spec and spec.get("default") is not None:
+                assert "(default %s)" % spec["default"] in out
+
 
 class TestMapChoices:
     """`basis` and `project` take their map kinds from one table, in the
@@ -745,3 +769,159 @@ class TestRenderCost:
         built, out = self._built(monkeypatch, lambda p: [str(c) for c in p.coeffs], p)
         assert len(built) == 201
         assert out == ["0"] * 200 + ["3/2"]
+
+
+# Cheap values for each argument the CLI's grammar names, near misses among
+# them; arguments with choices draw from those plus one value outside them.
+_WORDS = {
+    "expr": ["Dq", "x*d", "x^2", "x +", " d"],
+    "poly": ["x^2+1", "1", "x%"],
+    "count": ["2", "0", "-1", "x", " 3"],
+    "--degree": ["3", "0", "-1", "x", "+4", "9"],
+    "--kmax": ["2", "-1", "x"],
+    "--q": ["1/2", "-1/3", "3/2", "1/0", ""],
+    "--delta": ["1", "-1/2", "0"],
+}
+_RATIONALS = ["1/2", "-1/3", "5", "0", "a"]
+_STRAYS = ["", "-", "--", "-h", "--help", "--de", "--deg=3", "--nope", "--q", "nope", "-1/2", "-1"]
+
+
+def _words(arg, spec):
+    if "choices" in spec:
+        return st.sampled_from([*spec["choices"], "nope"])
+    return st.sampled_from(_WORDS.get(arg, _RATIONALS))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the CLI's grammar: a command, its positionals (now and then
+    one too few or too many), its options in the --name=value or --name value
+    form, now and then abbreviated (perhaps ambiguously) or repeated, in any
+    order, and now and then a stray token from _STRAYS."""
+    command = draw(st.sampled_from([*qdeform.cli.COMMANDS, "nope"]))
+    if command == "nope":
+        return [command, *draw(st.lists(st.sampled_from(_STRAYS), max_size=2))]
+    _, _, positionals, options = qdeform.cli.COMMANDS[command]
+    words = [draw(_words(arg, spec)) for arg, spec in positionals.items()]
+    miscount = draw(st.sampled_from([0] * 8 + [-1, 1]))
+    words = words[:miscount] if miscount < 0 else words + ["x"] * miscount
+    required = [f for f, spec in options.items() if spec.get("required")]
+    flags = [f for f in required if draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from(list(options)), max_size=4))
+    groups = []
+    for flag in flags:
+        value = draw(_words(flag, options[flag]))
+        form = draw(st.sampled_from(["=", "=", " ", " ", "abbreviated"]))
+        if form == "=":
+            groups.append(["%s=%s" % (flag, value)])
+        elif form == " ":
+            groups.append([flag, value])
+        else:
+            groups.append([flag[: draw(st.integers(3, len(flag)))], value])
+    order = draw(st.permutations(range(len(groups) + len(words))))
+    argv = [command]
+    for i in order:  # positionals keep their own order among the options
+        argv += groups[i] if i < len(groups) else [words.pop(0)]
+    for _ in range(draw(st.sampled_from([0] * 6 + [1]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_STRAYS)))
+    return argv
+
+
+def _captured(call, *args):
+    """(call(*args), its stdout, its stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = call(*args)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _argparse_vars(argv):
+    """vars() of what argparse reads from argv, or None where it exits."""
+    try:
+        args, _, _ = _captured(qdeform.cli.build_parser().parse_args, argv)
+    except SystemExit:
+        return None
+    return vars(args)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, read from the benchmark's directory, which it
+    also needs on sys.path for its own import of oracles.py."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("_bench_workloads", bench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+class TestPlainReader:
+    """A plain argv is read straight from cli.COMMANDS into exactly what
+    argparse reads; the reader declines everything else, argparse then
+    reads it, and main's exit code and output are the same either way."""
+
+    @settings(max_examples=250, deadline=None)
+    @example(["apply", "Dq", "x^2", "--q", "1/2"])
+    @example(["apply", "Dq", "x^2", "--q", "-1/2"])
+    @example(["apply", "Dq", "x^2", "--deg", "3"])
+    @example(["apply", "Dq", "x^2", "--de", "3"])
+    @example(["apply", "Dq", "x^2", "--degree=x", "--degree=3"])
+    @example(["verify", "qccr", "--q=1/2", "--format", "xml"])
+    @example(["hahn", "continuous", "--alpha=1/2", "--beta=1/3"])
+    @example(["spectrum", "continuous", "--alpha=1", "--beta=2", "--N=5", "--N=6", "--kmax=2"])
+    @given(_argvs())
+    def test_reader_agrees_with_argparse(self, argv):
+        read = qdeform.cli._read_args(argv)
+        expected = _argparse_vars(argv)
+        if expected is None:
+            assert read is None
+        elif read is not None:
+            assert vars(read) == expected
+        got = _captured(main, argv)
+        with mock.patch.object(qdeform.cli, "_read_args", lambda argv: None):
+            assert _captured(main, argv) == got
+
+    def test_every_benchmark_argv_is_read(self):
+        workloads = _load_workloads()
+        for workload in workloads.WORKLOADS:
+            for seed in range(1, 21):
+                for op in workloads.operations(workload, seed):
+                    read = qdeform.cli._read_args(op["argv"])
+                    assert read is not None, op["argv"]
+                    assert vars(read) == _argparse_vars(op["argv"])
+
+    def test_plain_command_builds_no_parser(self):
+        # in a fresh process: a plain command builds nothing, and the first
+        # form the reader declines builds the parser once
+        repo = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys; from qdeform import cli; "
+            "codes = [cli.main(%r)]; sizes = [cli.build_parser.cache_info().currsize]; "
+            "codes.append(cli.main(%r)); sizes.append(cli.build_parser.cache_info().currsize); "
+            "print(codes, sizes, file=sys.stderr)"
+            % (["apply", "Dq", "x^2", "--q=1/2", "--degree", "4"], ["apply", "Dq", "x^2", "--q", "-1/2"])
+        )
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.stdout == "3/2*x\n1/2*x\n"
+        assert proc.stderr == "[0, 0] [0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (["apply", "Dq", "poly(x^3)", "--q", "1/2"], True),
+            (["apply", "Dq", "poly(x^3)", "--q", "-1/2"], False),
+        ],
+    )
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, argv, plain):
+        expected = run(capsys, *argv)
+        seen, read = [], qdeform.cli._read_args
+        monkeypatch.setattr(qdeform.cli, "_read_args", lambda a: seen.append(a) or read(a))
+        monkeypatch.setattr(sys, "argv", ["qdeform", *argv])
+        code = main()
+        assert (code, *capsys.readouterr()) == expected
+        assert seen == [argv]
+        assert (read(argv) is not None) == plain
