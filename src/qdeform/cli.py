@@ -10,10 +10,6 @@ command line (a command, its positionals, its options spelled in full) is
 read straight from that table; anything else, --help and every usage error
 included, goes through the argparse parser built from the same table, with
 the same results.
-
-``verify all`` runs its suites on one process per usable CPU when the
-process can fork and has a single thread, and one after another otherwise;
-its output and exit code are the same either way.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import sys
 import threading
 import warnings
 
-from .errors import DslError, MathError
+from .errors import DegreeOverflowError, DslError, MathError
 from .hahn import Q_VARIANTS, HahnParams, HahnVariant, spectrum, table_rows
 from .maps import MAP_KINDS, b_projection, make_map
 from .opcore import apply, realize
@@ -90,8 +86,7 @@ def _emit_poly(p: Poly, fmt: str):
 def cmd_apply(args) -> int:
     e = _parse_expr(args, args.expr)
     if isinstance(e, Poly):
-        print("error: first argument must be an operator expression", file=sys.stderr)
-        return 2
+        raise ValueError("first argument must be an operator expression")
     p = _parse_poly(args, args.poly)
     _emit_poly(apply(e, p, args.degree), args.format)
     return 0
@@ -100,8 +95,7 @@ def cmd_apply(args) -> int:
 def cmd_realize(args) -> int:
     e = _parse_expr(args, args.expr)
     if isinstance(e, Poly):
-        print("error: argument must be an operator expression", file=sys.stderr)
-        return 2
+        raise ValueError("argument must be an operator expression")
     lin = realize(e, args.degree)
     cols = list(enumerate(lin.columns))
     _emit(
@@ -116,8 +110,7 @@ def cmd_realize(args) -> int:
 def cmd_verify(args) -> int:
     ctx = _context(args)
     if ctx is None:
-        print("error: verify requires --q", file=sys.stderr)
-        return 2
+        raise ValueError("verify requires --q")
     delta = rational(args.delta) if args.delta is not None else rational(1)
     checks = run_suite(args.suite, ctx, delta, args.degree)
     rows = [
@@ -149,8 +142,7 @@ def cmd_basis(args) -> int:
         p = m.basis_element(n)
         rows.append((n, p))
         if p.degree > args.degree:
-            print("error: basis element %d exceeds degree %d" % (n, args.degree), file=sys.stderr)
-            return 3
+            raise DegreeOverflowError("basis element %d exceeds degree %d" % (n, args.degree))
     _emit(
         args.format,
         lambda: {"map": m.to_json(), "elements": [p.to_json() for _, p in rows]},
@@ -205,8 +197,7 @@ def cmd_hahn(args) -> int:
     )
     bad = [r["k"] for r in rows if r["residual"] != "0"]
     if bad:
-        print("error: nonzero residual at k=%s" % bad, file=sys.stderr)
-        return 3
+        raise MathError("nonzero residual at k=%s" % bad)
     return 0
 
 
@@ -253,19 +244,23 @@ def _hahn_command(func, summary: str) -> tuple:
     return (
         func,
         summary,
-        {"variant": {"choices": [v.value for v in HahnVariant]}},
+        {"variant": {"choices": [v.value for v in HahnVariant], "help": "Hahn operator variant"}},
         {
-            "--alpha": {"required": True},
-            "--beta": {"required": True},
-            "--N": {"required": True},
+            "--alpha": {"required": True, "help": "Hahn parameter alpha as an exact rational"},
+            "--beta": {"required": True, "help": "Hahn parameter beta as an exact rational"},
+            "--N": {"required": True, "help": "Hahn parameter N as an exact rational"},
             "--c1": {"default": "-1", "help": "leading constant (default %(default)s)"},
-            "--kmax": {"type": int, "default": 8},
+            "--kmax": {
+                "type": int,
+                "default": 8,
+                "help": "largest eigenvalue index k to emit (default %(default)s)",
+            },
             **_common(delta_default="1"),
         },
     )
 
 
-_MAP = {"map": {"choices": list(MAP_KINDS)}}
+_MAP = {"map": {"choices": list(MAP_KINDS), "help": "deformation map"}}
 
 # The CLI's grammar: command -> (handler, help, positionals, options), each
 # argument given by the keywords of its argparse add_argument call, in the
@@ -280,11 +275,16 @@ COMMANDS = {
         },
         _common(),
     ),
-    "realize": (cmd_realize, "tabulate an operator on x^0..x^D", {"expr": {}}, _common()),
+    "realize": (
+        cmd_realize,
+        "tabulate an operator on x^0..x^D",
+        {"expr": {"help": "operator expression, e.g. 'Dq'"}},
+        _common(),
+    ),
     "verify": (
         cmd_verify,
         "run a named identity suite",
-        {"suite": {"choices": [*SUITES, "all"]}},
+        {"suite": {"choices": [*SUITES, "all"], "help": "identity suite, or all of them in order"}},
         _common(),
     ),
     "basis": (
@@ -293,7 +293,12 @@ COMMANDS = {
         {**_MAP, "count": {"type": int, "help": "largest basis index to emit"}},
         _common(),
     ),
-    "project": (cmd_project, "project a polynomial through a map", {**_MAP, "poly": {}}, _common()),
+    "project": (
+        cmd_project,
+        "project a polynomial through a map",
+        {**_MAP, "poly": {"help": "polynomial, e.g. 'x^3'"}},
+        _common(),
+    ),
     "hahn": _hahn_command(cmd_hahn, "eigenvalue/eigenpolynomial table"),
     "spectrum": _hahn_command(cmd_spectrum, "eigenvalue table"),
 }
@@ -418,17 +423,13 @@ def _run(argv) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-    for flag in ("--degree", "--kmax", "count"):
-        value = getattr(args, flag.lstrip("-"), 0)
-        if value < 0:
-            print("error: %s must be nonnegative, got %d" % (flag, value), file=sys.stderr)
-            return 2
     try:
+        for flag in ("--degree", "--kmax", "count"):
+            value = getattr(args, flag.lstrip("-"), 0)
+            if value < 0:
+                raise ValueError("%s must be nonnegative, got %d" % (flag, value))
         return args.func(args)
-    except DslError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DslError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MathError as exc:

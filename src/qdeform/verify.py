@@ -4,19 +4,11 @@ window and reports one pass/fail line per identity.
 These back the CLI ``verify`` command; the test suite drives the same
 functions, so the command-line reports and the pytest acceptance run can
 never drift apart.
-
-The suites share nothing but the memoized maps, so ``run_suite("all")``
-runs them side by side on one process per usable CPU when the process can
-fork and is single-threaded; otherwise it runs them one after another. The
-checks, their order and any exception raised are the same either way.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import threading
 from fractions import Fraction
 
 from .hahn import HahnParams, isospectral_check
@@ -269,12 +261,11 @@ MIN_DEGREE = {"jackson": 2, "rolle": 1, "intertwine": 2, "composition": 8}
 
 
 def run_suite(name: str, ctx: QContext, delta, D: int):
-    """Run one suite (or 'all'); returns a list of Check results.
+    """Run one suite (or 'all', every suite in SUITES order); returns a list
+    of Check results.
 
     A D below the suite's minimum (the largest one for 'all') is a
-    ValueError that names the minimum, raised before any check runs.
-    'all' runs the suites on one process per usable CPU (at most one per
-    suite) when os.fork exists and this is the only live thread."""
+    ValueError that names the minimum, raised before any check runs."""
     if name != "all" and name not in SUITES:
         raise ValueError(
             "unknown suite %r (choose from %s)" % (name, ", ".join([*SUITES, "all"]))
@@ -283,119 +274,4 @@ def run_suite(name: str, ctx: QContext, delta, D: int):
     least = max(MIN_DEGREE.get(key, 0) for key in names)
     if D < least:
         raise ValueError("suite %r needs degree D >= %d, got %d" % (name, least, D))
-    workers = min(len(names), _usable_cpus()) - 1
-    if workers > 0 and hasattr(os, "fork") and threading.active_count() == 1:
-        return _run_forked(names, ctx, delta, D, workers)
-    return _run_in_order(names, ctx, delta, D, {})
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_in_order(names, ctx, delta, D, done):
-    """The checks of every suite in order, taking suite i's from done[i]
-    where present and running it here otherwise."""
-    out = []
-    for i, key in enumerate(names):
-        out.extend(done[i] if i in done else SUITES[key](ctx, delta, D))
-    return out
-
-
-def _claim(claims: int, names, ctx, delta, D, done) -> "tuple | None":
-    """Run the suites whose indices this process reads off the claims pipe,
-    one byte each, into done until the pipe is empty; stops at the first
-    suite that raises and returns (its index, the exception)."""
-    while True:
-        byte = os.read(claims, 1)
-        if not byte:
-            return None
-        i = byte[0]
-        try:
-            done[i] = SUITES[names[i]](ctx, delta, D)
-        except Exception as exc:
-            return i, exc
-
-
-def _work(claims: int, out: int, names, ctx, delta, D):
-    """A forked worker: claims suites, writes their checks to out as one
-    line of json and leaves through os._exit, so it never returns into the
-    caller or flushes the parent's buffers. A suite that raised is left out
-    of the line, and the parent runs it again."""
-    try:
-        done = {}
-        _claim(claims, names, ctx, delta, D, done)
-        rows = [[i, [[c.name, c.ok, c.detail] for c in checks]] for i, checks in done.items()]
-        data = json.dumps(rows).encode() + b"\n"
-        while data:
-            data = data[os.write(out, data):]
-    finally:
-        os._exit(0)
-
-
-def _results(fd: int) -> dict:
-    """Suite index -> checks from a worker's line; a worker that died before
-    writing all of it gives none, and the parent runs its suites itself."""
-    chunks = []
-    while chunk := os.read(fd, 65536):
-        chunks.append(chunk)
-    try:
-        rows = json.loads(b"".join(chunks))
-    except ValueError:
-        return {}
-    return {i: [Check(*row) for row in checks] for i, checks in rows}
-
-
-def _run_forked(names, ctx, delta, D, workers: int):
-    """run_suite's checks from this process and up to `workers` forked
-    ones, each claiming suites until none is left. Every worker is reaped
-    before this returns or raises; it is killed first if this raises. The
-    first suite in order that raised, wherever it ran, runs again here, so
-    its exception propagates as it would from the serial loop."""
-    try:
-        # maps several suites read, built once here for every worker
-        mq, md = phi_q(ctx), phi_delta(delta)
-        compose(mq, md)
-        compose(md, mq)
-    except Exception:
-        return _run_in_order(names, ctx, delta, D, {})
-    claims, writer = os.pipe()
-    os.write(writer, bytes(range(len(names))))
-    os.close(writer)
-    children = []  # (pid, read end of its result pipe)
-    done, failed, collected = {}, None, False
-    try:
-        for _ in range(workers):
-            fd, writer = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(fd)
-                os.close(writer)
-                break
-            if pid == 0:
-                _work(claims, writer, names, ctx, delta, D)
-            os.close(writer)
-            children.append((pid, fd))
-        failed = _claim(claims, names, ctx, delta, D, done)
-        if failed is None:
-            for _, fd in children:
-                done.update(_results(fd))
-            collected = True
-    finally:
-        os.close(claims)
-        if not collected and children:
-            import signal  # only on this path, to keep the CLI's start-up lean
-
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for pid, fd in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-    if failed is not None:
-        i, exc = failed
-        _run_in_order(names[:i], ctx, delta, D, done)
-        raise exc
-    return _run_in_order(names, ctx, delta, D, done)
+    return [check for key in names for check in SUITES[key](ctx, delta, D)]

@@ -88,6 +88,7 @@ class TestExitCodes:
         (["realize", "poly(x)"], 2, "argument must be an operator expression"),
         (["basis", "phi_delta", "5", "--delta", "1", "--degree", "3"], 3, "basis element 4 exceeds degree 3"),
         (["project", "phi_q", "x^5", "--q", "1/2", "--degree", "3"], 2, "series degree 5 exceeds truncation 3"),
+        (["verify", "ccr"], 2, "verify requires --q"),
     ])
     def test_rejected_arguments(self, capsys, argv, code, message):
         assert run(capsys, *argv) == (code, "", "error: %s\n" % message)
@@ -256,6 +257,19 @@ class TestHahnTables:
         )
         assert code == 0
         assert out.splitlines()[0] == "variant,k,eigenvalue,coefficients,residual"
+
+    def test_nonzero_residual_exits_3_after_the_rows(self, capsys, monkeypatch):
+        residuals = ["0", "1/2", "0", "-1"]
+        rows = [
+            {"variant": "continuous", "k": k, "eigenvalue": "0", "coefficients": ["1"], "residual": r}
+            for k, r in enumerate(residuals)
+        ]
+        monkeypatch.setattr(qdeform.cli, "table_rows", lambda *args: rows)
+        code, out, err = run(capsys, "hahn", *HAHN_ARGS, "--format", "csv")
+        assert (code, err) == (3, "error: nonzero residual at k=[1, 3]\n")
+        assert out.splitlines() == ["variant,k,eigenvalue,coefficients,residual"] + [
+            "continuous,%d,0,1,%s" % (k, r) for k, r in enumerate(residuals)
+        ]
 
     def test_missing_q_for_deformed_variant(self, capsys):
         code, _, err = run(
@@ -615,8 +629,8 @@ class TestHelp:
 
     @pytest.mark.parametrize("command", list(qdeform.cli.COMMANDS))
     def test_command_help_names_its_table_row(self, capsys, monkeypatch, command):
-        # every option of the command's row, and the default of each option
-        # whose help text states one (--kmax and the Hahn parameters have none)
+        # every argument of the command's row with its help text, and the
+        # default of each option that has one
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err = run(capsys, command, "--help")
         assert (code, err) == (0, "")
@@ -628,8 +642,10 @@ class TestHelp:
             assert "  %s %s" % (flag, spec.get("metavar", flag[2:].upper())) in out or (
                 "  %s {%s}" % (flag, ",".join(spec["choices"])) in out
             )
-            if "help" in spec and spec.get("default") is not None:
+            if spec.get("default") is not None:
                 assert "(default %s)" % spec["default"] in out
+        for spec in (*positionals.values(), *options.values()):
+            assert spec["help"] and " ".join(spec["help"].split()[:3]) in " ".join(out.split())
 
 
 class TestMapChoices:

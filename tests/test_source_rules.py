@@ -87,7 +87,7 @@ def test_runtime_dependency_rule_sees_a_foreign_import():
 
 
 # modules that cost start-up time on every CLI call; pickle alone takes
-# about 3 ms, and verify's worker processes need none of the last four
+# about 3 ms, and the CLI needs none of them
 HEAVY_MODULES = (
     "dataclasses", "inspect", "typing", "pickle", "multiprocessing", "concurrent", "subprocess",
 )

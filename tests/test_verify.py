@@ -1,14 +1,13 @@
 import os
 import random
 import threading
-import time
 from fractions import Fraction
 
 import pytest
 
 from qdeform import hahn, maps, verify
 from qdeform.cli import main
-from qdeform.errors import EmptyWindowError, MapConstructionError
+from qdeform.errors import EmptyWindowError
 from qdeform.opcore import COORD, DERIV, IntPow, op_prod
 from qdeform.poly import Poly
 from qdeform.qnum import QContext
@@ -133,80 +132,29 @@ def test_intertwine_projects_each_input_once(capsys, monkeypatch):
     assert len(calls) <= 200
 
 
-# run_suite("all") forks one worker per further usable CPU when it is called
-# from the only live thread; from a second thread it runs every suite here,
-# one after another. The tests below compare the two paths.
-
-
-def _serially(fn, *args):
-    """fn(*args) called from a second thread, so run_suite takes its serial
-    path; returns what it returns and raises what it raises."""
-    box = {}
-
-    def target():
-        try:
-            box["value"] = fn(*args)
-        except Exception as exc:
-            box["error"] = exc
-
-    thread = threading.Thread(target=target)
+def test_all_runs_in_the_calling_process(capsys, monkeypatch):
+    # no worker processes, and the same report from a second thread
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["verify", "all", "--q=1/2", "--delta=1", "--degree", "8"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
     thread.start()
     thread.join(120)
-    assert not thread.is_alive()
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """A list that gains one entry per os.fork call in this process."""
-    if verify._usable_cpus() < 2:
-        pytest.skip("one usable CPU: run_suite never forks")
-    calls = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-    return calls
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-@pytest.mark.parametrize("D", [8, 16])
-@pytest.mark.parametrize("q,delta", [("1/2", "1"), ("-9/10", "-1/2")])
-def test_forked_and_serial_paths_agree(forks, q, delta, D):
-    ctx, delta = QContext(Fraction(q)), Fraction(delta)
-    forked = run_suite("all", ctx, delta, D)
-    assert forks and _no_child_left()
-    assert forked == _serially(run_suite, "all", ctx, delta, D)
-
-
-def test_more_workers_than_cores_agree(monkeypatch, forks):
-    # one worker per suite after the first, whatever the machine has
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 64)
-    ctx, delta = QContext(Fraction(-1, 3)), Fraction(3, 2)
-    forked = run_suite("all", ctx, delta, 10)
-    assert len(forks) == len(SUITES) - 1 and _no_child_left()
-    assert forked == _serially(run_suite, "all", ctx, delta, 10)
-
-
-def test_single_suite_runs_here(forks):
-    assert run_suite("hahn", QContext(Fraction(1, 2)), Fraction(1), 8)
+    assert not thread.is_alive() and codes == [0]
+    assert capsys.readouterr().out == out
     assert forks == []
 
 
 @pytest.mark.parametrize("name", list(SUITES))
-def test_failing_check_keeps_its_place(capsys, monkeypatch, forks, name):
+def test_failing_check_keeps_its_place(capsys, monkeypatch, name):
     monkeypatch.setitem(SUITES, name, lambda ctx, delta, D: [verify.Check("patched", False)])
     argv = ["verify", "all", "--q=1/3", "--delta=2", "--degree", "8"]
     assert main(argv) == 3
     out = capsys.readouterr().out
-    assert forks and _no_child_left()
-    assert _serially(main, argv) == 3
-    assert capsys.readouterr().out == out
     ctx, keys = QContext(Fraction(1, 3)), list(SUITES)
     before = sum(len(SUITES[key](ctx, Fraction(2), 8)) for key in keys[: keys.index(name)])
     lines = out.splitlines()
@@ -222,65 +170,15 @@ def _raising(message):
 
 
 @pytest.mark.parametrize("first,later", [("ccr", "hahn"), ("qccr", "intertwine"), ("composition", "hahn")])
-def test_first_raising_suite_propagates(capsys, monkeypatch, forks, first, later):
-    # the first suite in order that raises gives the exception, wherever it
-    # ran; the CLI reports it as one stderr line and exits 3
+def test_first_raising_suite_propagates(capsys, monkeypatch, first, later):
+    # the first suite in order that raises gives the exception; the CLI
+    # reports it as one stderr line and exits 3
     monkeypatch.setitem(SUITES, first, _raising("no window in %s" % first))
     monkeypatch.setitem(SUITES, later, _raising("no window in %s" % later))
     ctx, delta = QContext(Fraction(1, 3)), Fraction(2)
     with pytest.raises(EmptyWindowError, match="^no window in %s$" % first):
         run_suite("all", ctx, delta, 8)
-    assert forks and _no_child_left()
-    with pytest.raises(EmptyWindowError, match="^no window in %s$" % first):
-        _serially(run_suite, "all", ctx, delta, 8)
     argv = ["verify", "all", "--q=1/3", "--delta=2", "--degree", "8"]
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr() == ("", "error: no window in %s\n" % first)
-    assert _no_child_left()
-    assert _serially(main, argv) == 3
-    assert capsys.readouterr() == ("", "error: no window in %s\n" % first)
-
-
-def test_failed_prebuild_falls_back_to_the_serial_loop(monkeypatch, forks):
-    # the shared maps are built before any fork; when that raises, the
-    # suites run here, one after another, and the first of them builds the
-    # shift map again and raises as the serial loop does
-    calls = []
-
-    def no_shift_map(delta):
-        calls.append(delta)
-        raise MapConstructionError("no shift map at %s" % delta)
-
-    monkeypatch.setattr(verify, "phi_delta", no_shift_map)
-    ctx, delta = QContext(Fraction(1, 2)), Fraction(1)
-    with pytest.raises(MapConstructionError) as here:
-        run_suite("all", ctx, delta, 8)
-    assert forks == [] and _no_child_left()
-    assert len(calls) == 2  # the prebuild, then the ccr suite
-    with pytest.raises(MapConstructionError) as serial:
-        _serially(run_suite, "all", ctx, delta, 8)
-    assert str(here.value) == str(serial.value) == "no shift map at 1"
-
-
-def test_workers_are_killed_when_the_parent_raises(monkeypatch, forks):
-    # every suite raises in this process and blocks in a worker: the call
-    # must kill the workers instead of waiting for them, and report the
-    # first suite's exception
-    parent = os.getpid()
-
-    def blocking(key):
-        def suite(ctx, delta, D):
-            if os.getpid() != parent:
-                time.sleep(60)
-            raise EmptyWindowError("no window in %s" % key)
-
-        return suite
-
-    for key in list(SUITES):
-        monkeypatch.setitem(SUITES, key, blocking(key))
-    start = time.monotonic()
-    with pytest.raises(EmptyWindowError, match="^no window in ccr$"):
-        run_suite("all", QContext(Fraction(1, 2)), Fraction(1), 8)
-    assert time.monotonic() - start < 30
-    assert forks and _no_child_left()
